@@ -7,7 +7,8 @@ shrink.  Multi-word entities are expected to arrive pre-joined with
 underscores, so every entity is a single vocabulary token.
 
 Nearest-neighbor search is exact: ``top_k`` is a brute-force cosine scan
-over the whole vocabulary, scores descending, ties broken lexicographically.
+over the whole vocabulary, optionally restricted to a row mask, scores
+descending, ties broken lexicographically.
 A trained model is immutable and safe to share across reader threads.
 """
 
@@ -23,6 +24,7 @@ from .errors import (
     DimensionMismatchError,
     DuplicateTokenError,
     EmptyVocabularyError,
+    InvalidTokenError,
     MalformedHeaderError,
     OutOfVocabularyError,
     ZeroVectorError,
@@ -72,6 +74,10 @@ class EmbeddingModel:
             raise ValueError("vectors must be finite")
         if len(set(tokens)) != len(tokens):
             raise DuplicateTokenError("vocabulary tokens must be unique")
+        for token in tokens:
+            if token.split() != [token]:
+                raise InvalidTokenError(
+                    f"token {token!r} is empty or contains whitespace")
         self.tokens: list[str] = list(tokens)
         self.vectors: np.ndarray = vectors
         self.frequencies: dict[str, int] = dict(frequencies or {})
@@ -102,12 +108,22 @@ class EmbeddingModel:
             raise ZeroVectorError(f"cosine undefined for zero vector ('{a}' or '{b}')")
         return float(np.clip(np.dot(va, vb) / (na * nb), -1.0, 1.0))
 
-    def top_k(self, query: str, k: int) -> list[tuple[str, float]]:
+    def row_mask(self, tokens: Iterable[str]) -> np.ndarray:
+        """Boolean mask over the vocabulary rows; out-of-vocabulary tokens are ignored."""
+        mask = np.zeros(len(self.tokens), dtype=bool)
+        mask[[self._index[t] for t in tokens if t in self._index]] = True
+        return mask
+
+    def top_k(self, query: str, k: int,
+              among: np.ndarray | None = None) -> list[tuple[str, float]]:
         """The k most cosine-similar tokens to the query, excluding itself.
 
         Exact brute-force scan over the vocabulary; descending score with
-        lexicographic tie-break.  Zero-norm tokens cannot be scored and are
-        skipped.  A zero-norm query raises ZeroVectorError.
+        lexicographic tie-break.  ``among`` (a boolean row mask, see
+        :meth:`row_mask`) restricts the candidates; every row is scored
+        either way, so a token's score does not depend on the mask.
+        Zero-norm tokens cannot be scored and are skipped.  A zero-norm
+        query raises ZeroVectorError.
         """
         qi = self._index.get(query)
         if qi is None:
@@ -123,9 +139,17 @@ class EmbeddingModel:
             self._norms[scorable] * qnorm
         )
         np.clip(scores, -1.0, 1.0, out=scores)
+        if among is not None:
+            scorable &= among
+        scorable[qi] = False
+        rows = np.flatnonzero(scorable)
+        if len(rows) > k:
+            # every row scoring at least the k-th best, so the lexicographic
+            # tie-break below sees all of a tie that straddles the cut
+            kth = np.partition(scores[rows], len(rows) - k)[len(rows) - k]
+            rows = rows[scores[rows] >= kth]
         ranked = sorted(
-            ((self.tokens[i], float(scores[i])) for i in range(len(self.tokens))
-             if i != qi and scorable[i]),
+            ((self.tokens[i], float(scores[i])) for i in rows),
             key=lambda pair: (-pair[1], pair[0]),
         )
         return ranked[:k]

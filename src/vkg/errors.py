@@ -53,6 +53,10 @@ class DuplicateTokenError(VkgError):
     """Token appears twice in an embedding file."""
 
 
+class InvalidTokenError(VkgError):
+    """Vocabulary token is empty or contains whitespace (unwritable as .vec)."""
+
+
 class OutOfVocabularyError(VkgError):
     """Token not present in the embedding vocabulary."""
 

@@ -256,6 +256,10 @@ class Graph:
             self._same_parent[entity], entity = node, self._same_parent[entity]
         return node
 
+    def merged(self) -> dict[str, str]:
+        """Every entity sameAs-merged into another -> its canonical representative."""
+        return {entity: self.canonical(entity) for entity in self._same_parent}
+
     def _union(self, a: str, b: str) -> None:
         ra, rb = self.canonical(a), self.canonical(b)
         if ra == rb:
@@ -326,6 +330,9 @@ class Graph:
             raise UnknownRelationError(f"relation '{predicate}' not declared in schema")
         subject = _safe_token(normalize(subject))
         if isinstance(obj, Literal):
+            if "".join(obj.value.splitlines()) != obj.value:
+                raise GraphFormatError(
+                    f"literal {obj.value!r} contains a line break")
             return Triple(subject, predicate, obj)
         obj = _safe_token(normalize(obj))
         if predicate == "type" and obj not in self.schema.classes:

@@ -10,6 +10,7 @@ hybrid structure.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from types import MappingProxyType
 from typing import Mapping
 
@@ -35,6 +36,12 @@ class LinkTable:
         """Linked fraction; vacuously 1.0 for a graph with no entities."""
         total = len(self.links) + len(self.unlinked)
         return len(self.links) / total if total else 1.0
+
+    @cached_property
+    def by_token(self) -> Mapping[str, tuple[str, ...]]:
+        """token -> sorted entities linked to it; built once per table."""
+        return MappingProxyType(
+            {token: tuple(entities) for token, entities in reverse_links(self).items()})
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
-from typing import Union
+from typing import Iterable, Mapping, Union
 
 from ._scan import ScanError, Token, scan
 from .embedding import EmbeddingModel
@@ -37,7 +37,7 @@ from .errors import (
     VkgError,
 )
 from .kg import Graph, Schema, normalize
-from .linking import LinkTable, reverse_links
+from .linking import LinkTable
 from .rules import Alert, RuleSet, Triple, evaluate
 
 DEFAULT_TOP_K = 10
@@ -328,37 +328,40 @@ def vkg_search(term: str, class_filter: str | None, k: int, graph: Graph,
                model: EmbeddingModel, links: LinkTable) -> list[tuple[str, float]]:
     """Knowledge-graph-aided similarity search.
 
-    Candidates come from the exact vector neighborhood of the term in
-    descending cosine order; a candidate survives iff its token is linked
-    to a graph entity whose class (with subclass closure) matches the
-    filter.  Without a filter only the linked-entity constraint applies.
-    The candidate window starts at max(4k, 32) and doubles until k results
-    qualify or the vocabulary is exhausted.
+    One exact scan of the vector neighborhood of the term, restricted
+    before selection to the tokens linked to a qualifying entity: one whose
+    class (with subclass closure) matches the filter, or any linked entity
+    without a filter.  Hits are rewritten to their sameAs-canonical
+    representative, and each canonical entity appears once, with its best
+    score.
     """
     term = normalize(term)
     if k <= 0:
         return []
-    allowed: set[str] | None = None
+    linked = links.links
+    merged = graph.merged()
+    qualifying: Mapping[str, str] | set[str] = linked
+    tokens: Iterable[str] = links.by_token
     if class_filter is not None:
         if not graph.schema.has_class(class_filter):
             raise UnknownClassError(f"unknown class '{class_filter}'")
-        allowed = {graph.canonical(e) for e in graph.instances_of(class_filter)}
-    by_token = reverse_links(links)
-
-    window = max(4 * k, 32)
-    limit = len(model) - 1
-    while True:
-        candidates = model.top_k(term, min(window, limit))
-        results: list[tuple[str, float]] = []
-        for token, score in candidates:
-            for entity in by_token.get(token, ()):
-                if allowed is None or graph.canonical(entity) in allowed:
-                    results.append((entity, score))
-            if len(results) >= k:
-                break
-        if len(results) >= k or window >= limit:
-            return results[:k]
-        window *= 2
+        allowed = graph.instances_of(class_filter)   # canonical entities
+        qualifying = {e for e in allowed if e in linked}
+        qualifying |= {e for e, c in merged.items() if c in allowed and e in linked}
+        tokens = {linked[e] for e in qualifying}
+    # a canonical entity linked through several tokens can take several of
+    # the scan's slots; widen the scan by that many so k distinct ones fit
+    aliased = [e for e in merged if e in qualifying]
+    targets = {merged[e] for e in aliased}
+    width = k + len(aliased) - len({c for c in targets if c not in qualifying})
+    results: list[tuple[str, float]] = []
+    seen: set[str] = set()
+    for token, score in model.top_k(term, width, among=model.row_mask(tokens)):
+        hits = {merged.get(e, e) for e in links.by_token[token] if e in qualifying}
+        for entity in sorted(hits - seen):
+            seen.add(entity)
+            results.append((entity, score))
+    return results[:k]
 
 
 # --- execution ----------------------------------------------------------------

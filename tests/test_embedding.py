@@ -19,8 +19,10 @@ from vkg.errors import (
     DimensionMismatchError,
     DuplicateTokenError,
     EmptyVocabularyError,
+    InvalidTokenError,
     MalformedHeaderError,
     OutOfVocabularyError,
+    VkgError,
     ZeroVectorError,
 )
 
@@ -162,6 +164,47 @@ class TestTopK:
         with pytest.raises(OutOfVocabularyError):
             self.random_model(rng, size=5).top_k("missing", 3)
 
+    def tied_model(self, rng, size=60, distinct=6, dim=4):
+        """Each of a few small-integer vectors repeated, so duplicated rows
+        score bit-identically; token names are shuffled against row order."""
+        base = rng.integers(-3, 4, size=(distinct, dim))
+        base[np.all(base == 0, axis=1), 0] = 1
+        rows = base[np.arange(size) % distinct].astype(np.float64)
+        tokens = [f"t{i:04d}" for i in rng.permutation(size)]
+        return EmbeddingModel(tokens, rows)
+
+    def test_ties_across_kth_score_match_oracle(self):
+        rng = np.random.default_rng(6)
+        for _ in range(5):
+            model = self.tied_model(rng)
+            for query in model.tokens[:6]:
+                full = brute_force_top_k(model, query, len(model))
+                mask = rng.random(len(model)) < 0.5
+                allowed = {t for t, keep in zip(model.tokens, mask) if keep}
+                filtered = [pair for pair in full if pair[0] in allowed]
+                for k in range(1, 25):
+                    assert model.top_k(query, k) == full[:k]
+                    assert model.top_k(query, k, among=mask) == filtered[:k]
+
+    def test_mask_leaves_scores_unchanged(self):
+        rng = np.random.default_rng(7)
+        model = self.random_model(rng, size=300)
+        full = dict(model.top_k("t0042", len(model)))
+        mask = model.row_mask(f"t{i:04d}" for i in range(0, 300, 7))
+        masked = model.top_k("t0042", 20, among=mask)
+        assert len(masked) == 20
+        assert all(mask[int(tok[1:])] for tok, _ in masked)
+        assert all(full[tok] == score for tok, score in masked)
+
+    def test_row_mask_ignores_unknown_tokens(self):
+        rng = np.random.default_rng(8)
+        model = self.random_model(rng, size=5)
+        mask = model.row_mask(["t0001", "missing", "t0003"])
+        assert mask.tolist() == [False, True, False, True, False]
+        assert model.top_k("t0001", 3, among=mask) == [
+            pair for pair in model.top_k("t0001", 4) if pair[0] == "t0003"]
+        assert model.top_k("t0001", 3, among=model.row_mask([])) == []
+
 
 class TestTextFormat:
     def test_small_file_loads(self, tmp_path):
@@ -191,6 +234,12 @@ class TestTextFormat:
         path.write_text(f"{header}\n")
         with pytest.raises(MalformedHeaderError):
             EmbeddingModel.load_text(path)
+
+    @pytest.mark.parametrize("token", ["a b", "tab\tbed", "line\nbreak", "", " "])
+    def test_unwritable_token_rejected(self, token):
+        with pytest.raises(InvalidTokenError) as info:
+            EmbeddingModel([token, "c"], np.ones((2, 3)))
+        assert isinstance(info.value, VkgError)
 
     def test_row_count_mismatch(self, tmp_path):
         path = tmp_path / "model.vec"

@@ -10,6 +10,7 @@ from vkg.errors import (
     SchemaError,
     UnknownClassError,
     UnknownRelationError,
+    VkgError,
 )
 from vkg.kg import Graph, Literal, Schema, Triple, normalize
 
@@ -361,6 +362,16 @@ class TestPersistence:
     def test_undeclared_relation_rejected(self, schema):
         with pytest.raises(GraphFormatError):
             Graph.parse("<a> <unknownRel> <b> .\n", schema)
+
+    @pytest.mark.parametrize("value", ["x\ny", "x\ry", "x\r\n", "x\u2028y"])
+    def test_line_break_literal_rejected(self, schema, value):
+        graph = Graph(schema)
+        with pytest.raises(GraphFormatError) as err:
+            graph.assert_triple("mysql", "hasVector", Literal(value))
+        assert isinstance(err.value, VkgError)
+        assert len(graph) == 0
+        graph.assert_triple("mysql", "hasVector", Literal("x\ty"))
+        assert Graph.parse(graph.to_text(), schema).to_text() == graph.to_text()
 
 
 class TestSchemaParsing:

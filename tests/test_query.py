@@ -18,7 +18,7 @@ from vkg.errors import (
     UnknownRelationError,
     UnknownRuleError,
 )
-from vkg.kg import Graph
+from vkg.kg import Graph, Schema
 from vkg.linking import link_all
 from vkg.query import (
     GRAPH_SIDE,
@@ -235,6 +235,76 @@ class TestVkgSearch:
                     if cls is None or graph.canonical(entity) in instances[cls]:
                         expected.append((entity, score))
             assert got == expected[:k]
+
+    def test_class_smaller_than_k_returns_all_members(self, mixed_linked):
+        graph, model, table = mixed_linked
+        for cls in ("vulnerability", "attack", "product"):
+            members = {e for e in graph.instances_of(cls) if e in table.links}
+            outsider = min(set(table.links) - members)
+            for query in sorted(members)[:3] + [outsider]:
+                k = len(members) + 3
+                got = vkg_search(query, cls, k, graph, model, table)
+                expected = [(tok, score) for tok, score in model.top_k(query, len(model))
+                            if tok in members]
+                assert got == expected
+                assert len(got) == len(members - {query})
+
+    def test_class_without_linked_members_is_empty(self, schema):
+        graph, model, table = crafted_search_fixture(schema)
+        assert vkg_search("denial_of_service", "attacker", 3, graph, model, table) == []
+        graph.assert_triple("ghost_attack", "type", "attack")   # not in the vocabulary
+        table = link_all(graph, model)
+        assert vkg_search("denial_of_service", "attack", 3, graph, model, table) == []
+
+    def test_one_top_k_call_per_search(self, mixed_linked, monkeypatch):
+        graph, model, table = mixed_linked
+        calls = []
+        scan = model.top_k
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return scan(*args, **kwargs)
+
+        monkeypatch.setattr(model, "top_k", counting)
+        searches = 0
+        for query in sorted(table.links)[::4]:
+            for cls in (None, "vulnerability", "attack", "product", "attacker"):
+                for k in (1, 10, 40):
+                    vkg_search(query, cls, k, graph, model, table)
+                    searches += 1
+                    assert len(calls) == searches
+
+    def test_same_as_pair_takes_one_slot(self):
+        graph, model, table = same_as_fixture(aa=0.995, bb=0.981, cc=0.9)
+        scores = dict(model.top_k("q", 3))
+        assert vkg_search("q", "c", 2, graph, model, table) == [
+            ("aa", scores["aa"]), ("cc", scores["cc"])]
+        assert vkg_search("q", None, 3, graph, model, table) == [
+            ("aa", scores["aa"]), ("cc", scores["cc"])]
+
+    def test_same_as_keeps_best_score_under_canonical_name(self):
+        graph, model, table = same_as_fixture(aa=0.9, bb=0.995, cc=0.981)
+        scores = dict(model.top_k("q", 3))
+        assert vkg_search("q", "c", 2, graph, model, table) == [
+            ("aa", scores["bb"]), ("cc", scores["cc"])]
+        assert vkg_search("q", "c", 1, graph, model, table) == [("aa", scores["bb"])]
+
+
+def same_as_fixture(**cosines):
+    """aa, bb, cc typed c and linked, aa sameAs bb; q is a plain token at
+    the given cosine from each."""
+    schema = Schema()
+    schema.declare_class("c")
+    graph = Graph(schema)
+    tokens, vectors = ["q"], [[1.0, 0.0]]
+    for entity, cos in cosines.items():
+        graph.assert_triple(entity, "type", "c")
+        tokens.append(entity)
+        vectors.append([cos, (1.0 - cos * cos) ** 0.5])
+    model = EmbeddingModel(tokens, np.array(vectors))
+    table = link_all(graph, model)
+    graph.merge_same_as("aa", "bb")
+    return graph, model, table
 
 
 def alert_fixture(schema):
