@@ -233,7 +233,8 @@ class Graph:
         self._by_p: dict[str, set[Triple]] = {}
         self._by_o: dict[Term, set[Triple]] = {}
         self._by_sp: dict[tuple[str, str], set[Triple]] = {}
-        self._same_parent: dict[str, str] = {}
+        self._same_root: dict[str, str] = {}          # merged entity -> its root
+        self._same_members: dict[str, list[str]] = {}  # root -> entities merged into it
 
     def __len__(self) -> int:
         return len(self._triples)
@@ -248,31 +249,32 @@ class Graph:
 
     def canonical(self, entity: str) -> str:
         """Lexicographically smallest member of the entity's sameAs class."""
-        node = entity
-        while self._same_parent.get(node, node) != node:
-            node = self._same_parent[node]
-        # path compression
-        while self._same_parent.get(entity, entity) != entity:
-            self._same_parent[entity], entity = node, self._same_parent[entity]
-        return node
+        return self._same_root.get(entity, entity)
 
     def merged(self) -> dict[str, str]:
         """Every entity sameAs-merged into another -> its canonical representative."""
-        return {entity: self.canonical(entity) for entity in self._same_parent}
+        return dict(self._same_root)
 
     def _union(self, a: str, b: str) -> None:
         ra, rb = self.canonical(a), self.canonical(b)
         if ra == rb:
             return
         winner, loser = (ra, rb) if ra < rb else (rb, ra)
-        self._same_parent[loser] = winner
-        # fold the loser's index buckets into the winner's
-        if loser in self._by_s:
-            self._by_s.setdefault(winner, set()).update(self._by_s.pop(loser))
+        # every member of the loser's class points straight at the winner,
+        # so reads never need to walk or compress a path
+        moved = self._same_members.pop(loser, []) + [loser]
+        for entity in moved:
+            self._same_root[entity] = winner
+        self._same_members.setdefault(winner, []).extend(moved)
+        # fold the loser's index buckets into the winner's; its (s, p) keys
+        # are the predicates of its by-subject bucket
+        bucket = self._by_s.pop(loser, None)
+        if bucket is not None:
+            for p in {t.predicate for t in bucket}:
+                self._by_sp.setdefault((winner, p), set()).update(self._by_sp.pop((loser, p)))
+            self._by_s.setdefault(winner, set()).update(bucket)
         if loser in self._by_o:
             self._by_o.setdefault(winner, set()).update(self._by_o.pop(loser))
-        for s, p in [k for k in self._by_sp if k[0] == loser]:
-            self._by_sp.setdefault((winner, p), set()).update(self._by_sp.pop((s, p)))
 
     # --- mutation ---------------------------------------------------------
 

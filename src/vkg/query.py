@@ -22,11 +22,12 @@ to that variable and unions the results.
 
 from __future__ import annotations
 
-from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping, Union
 
-from ._scan import ScanError, Token, scan
+from ._scan import Cursor
 from .embedding import EmbeddingModel
 from .errors import (
     DuplicateVariableError,
@@ -41,8 +42,6 @@ from .linking import LinkTable
 from .rules import Alert, RuleSet, Triple, evaluate
 
 DEFAULT_TOP_K = 10
-
-_OPERATORS = (";", ",")
 
 
 # --- AST ----------------------------------------------------------------------
@@ -90,12 +89,7 @@ def parse(text: str, schema: Schema | None = None,
     With a schema, LIST relation keywords must resolve through its aliases;
     with a rule set, INFER rule names must exist.
     """
-    try:
-        tokens = scan(text, _OPERATORS)
-    except ScanError as exc:
-        raise QuerySyntaxError(exc.message, exc.line, exc.column) from None
-    parser = _QueryParser(tokens)
-    statements = parser.query()
+    statements = _QueryParser(text).query()
     _validate(statements, schema, rules)
     return QueryAst(tuple(statements))
 
@@ -122,52 +116,15 @@ def unparse(ast: QueryAst) -> str:
     return "; ".join(parts)
 
 
-class _QueryParser:
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
-        self.pos = 0
+class _QueryParser(Cursor):
+    operators = (";", ",")
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "EOF":
-            self.pos += 1
-        return tok
-
-    def fail(self, message: str) -> QuerySyntaxError:
-        tok = self.peek()
-        shown = tok.text if tok.kind != "EOF" else "end of input"
-        return QuerySyntaxError(f"{message} (at {shown!r})", tok.line, tok.column)
-
-    def at_keyword(self, word: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "IDENT" and tok.text.upper() == word
-
-    def keyword(self, word: str) -> None:
-        if not self.at_keyword(word):
-            raise self.fail(f"expected {word}")
-        self.advance()
-
-    def ident(self, what: str) -> str:
-        tok = self.peek()
-        if tok.kind != "IDENT":
-            raise self.fail(f"expected {what}")
-        return self.advance().text
-
-    def quoted(self, what: str) -> str:
-        tok = self.peek()
-        if tok.kind != "QUOTED":
-            raise self.fail(f"expected quoted {what}")
-        self.advance()
-        if not tok.text.strip():
-            raise QuerySyntaxError(f"empty quoted {what}", tok.line, tok.column)
-        return normalize(tok.text)
+    def error(self, message: str, line: int, column: int) -> QuerySyntaxError:
+        return QuerySyntaxError(message, line, column)
 
     def query(self) -> list[Statement]:
         statements = [self.statement()]
-        while self.peek().kind == "OP" and self.peek().text == ";":
+        while self.at_op(";"):
             self.advance()
             if self.peek().kind == "EOF":
                 break  # trailing semicolon
@@ -195,11 +152,7 @@ class _QueryParser:
         k = DEFAULT_TOP_K
         if self.at_keyword("TOPK"):
             self.advance()
-            tok = self.peek()
-            if tok.kind != "INT":
-                raise self.fail("expected integer after TOPK")
-            self.advance()
-            k = int(tok.text)
+            k = self.integer("integer after TOPK")
         self.keyword("AS")
         return SearchStmt(term, class_filter, k, self.ident("output variable"))
 
@@ -223,7 +176,7 @@ class _QueryParser:
         rule = self.ident("rule name")
         self.keyword("FROM")
         in_vars = [self.ident("input variable")]
-        while self.peek().kind == "OP" and self.peek().text == ",":
+        while self.at_op(","):
             self.advance()
             in_vars.append(self.ident("input variable"))
         context = None
@@ -275,22 +228,32 @@ class Plan:
     nodes: tuple[PlanNode, ...]
     edges: frozenset[tuple[int, int]]
 
-    def dependencies(self, index: int) -> set[int]:
-        return {src for src, dst in self.edges if dst == index}
+    @cached_property
+    def ancestors(self) -> tuple[frozenset[int], ...]:
+        """Per node, every node it depends on, directly or through others.
 
-    def reachable(self, start: int) -> set[int]:
-        seen, stack = set(), [start]
-        while stack:
-            node = stack.pop()
-            for src, dst in self.edges:
-                if src == node and dst not in seen:
-                    seen.add(dst)
-                    stack.append(dst)
-        return seen
+        Edges point forward (variables are bound before use), so parents come first.
+        """
+        parents: list[set[int]] = [set() for _ in self.nodes]
+        for src, dst in self.edges:
+            parents[dst].add(src)
+        found: list[frozenset[int]] = []
+        for direct in parents:
+            found.append(frozenset(direct.union(*(found[p] for p in direct))))
+        return tuple(found)
+
+    @cached_property
+    def waves(self) -> tuple[tuple[int, ...], ...]:
+        """Node indices by dependency depth: a wave needs only earlier waves."""
+        depth: list[int] = []
+        for before in self.ancestors:
+            depth.append(1 + max((depth[a] for a in before), default=-1))
+        return tuple(tuple(i for i, d in enumerate(depth) if d == wave)
+                     for wave in sorted(set(depth)))
 
     def is_parallel(self, a: int, b: int) -> bool:
         """No dependency path in either direction: safe to run concurrently."""
-        return a != b and b not in self.reachable(a) and a not in self.reachable(b)
+        return a != b and a not in self.ancestors[b] and b not in self.ancestors[a]
 
     def parallel_pairs(self) -> set[frozenset[int]]:
         n = len(self.nodes)
@@ -333,13 +296,17 @@ def vkg_search(term: str, class_filter: str | None, k: int, graph: Graph,
     class (with subclass closure) matches the filter, or any linked entity
     without a filter.  Hits are rewritten to their sameAs-canonical
     representative, and each canonical entity appears once, with its best
-    score.
+    score.  As ``top_k`` never returns the query token, a search never
+    returns the query's own sameAs class (the entity named by the term and
+    the entities linked to it, with everything merged into them).
     """
     term = normalize(term)
     if k <= 0:
         return []
     linked = links.links
     merged = graph.merged()
+    own = {graph.canonical(term)} | {merged.get(e, e) for e in links.by_token.get(term, ())}
+    own |= {e for e, c in merged.items() if c in own}
     qualifying: Mapping[str, str] | set[str] = linked
     tokens: Iterable[str] = links.by_token
     if class_filter is not None:
@@ -348,6 +315,11 @@ def vkg_search(term: str, class_filter: str | None, k: int, graph: Graph,
         allowed = graph.instances_of(class_filter)   # canonical entities
         qualifying = {e for e in allowed if e in linked}
         qualifying |= {e for e, c in merged.items() if c in allowed and e in linked}
+        qualifying -= own
+        tokens = {linked[e] for e in qualifying}
+    elif any(linked.get(e, term) != term for e in own):
+        # the query's class reaches past the query token, which top_k skips
+        qualifying = linked.keys() - own
         tokens = {linked[e] for e in qualifying}
     # a canonical entity linked through several tokens can take several of
     # the scan's slots; widen the scan by that many so k distinct ones fit
@@ -397,52 +369,35 @@ def execute(plan: Plan, graph: Graph, model: EmbeddingModel | None,
 
     Graph-side nodes never touch the model or link table (their handlers
     are not even passed them), so a plan without SEARCH statements runs
-    with ``model=None``.  With ``parallel=True`` independent nodes run on
-    worker threads against the shared read-only inputs while the calling
-    thread alone assembles the bindings; results are identical to
-    sequential execution.  ``trace`` records which side each node
-    dispatched to, in statement order.
+    with ``model=None``.  With ``parallel=True`` the plan runs wave by
+    wave (:attr:`Plan.waves`) on worker threads against the shared
+    read-only inputs; a wave's bindings are applied once the whole wave has
+    returned, so results equal sequential execution's.  A failure raises
+    the ``ExecutionError`` of the earliest failing wave's first failing
+    node (sequentially: of the first failing statement).  ``trace``
+    records which side each node dispatched to, in statement order.
     """
     bindings = Bindings()
     if parallel:
-        _execute_parallel(plan, graph, model, links, rules, bindings)
+        wave_bindings = Bindings()   # what the workers of later waves read
+
+        def run(index: int) -> _Update:
+            return _compute(plan.nodes[index], graph, model, links, rules, wave_bindings)
+
+        updates: dict[int, _Update] = {}
+        with ThreadPoolExecutor(max_workers=max(map(len, plan.waves), default=1)) as pool:
+            for wave in plan.waves:
+                updates.update(zip(wave, pool.map(run, wave)))
+                for index in wave:
+                    _apply(updates[index], wave_bindings)
+        for index in sorted(updates):
+            _apply(updates[index], bindings)
     else:
         for node in plan.nodes:
             _apply(_compute(node, graph, model, links, rules, bindings), bindings)
-    _reorder(plan, bindings)
     if trace is not None:
         trace.extend((node.index, node.side) for node in plan.nodes)
     return bindings
-
-
-def _execute_parallel(plan: Plan, graph: Graph, model: EmbeddingModel | None,
-                      links: LinkTable | None, rules: RuleSet | None,
-                      bindings: Bindings) -> None:
-    done: set[int] = set()
-    pending = {node.index: node for node in plan.nodes}
-    futures: dict = {}
-    with ThreadPoolExecutor(max_workers=max(1, len(plan.nodes))) as pool:
-        while pending or futures:
-            ready = [
-                node for node in pending.values()
-                if plan.dependencies(node.index) <= done
-            ]
-            for node in ready:
-                del pending[node.index]
-                fut = pool.submit(_compute, node, graph, model, links, rules, bindings)
-                futures[fut] = node.index
-            finished, _ = wait(futures, return_when=FIRST_COMPLETED)
-            for fut in finished:
-                index = futures.pop(fut)
-                _apply(fut.result(), bindings)  # re-raises worker errors
-                done.add(index)
-
-
-def _reorder(plan: Plan, bindings: Bindings) -> None:
-    order = [node.statement.out_var for node in plan.nodes]
-    bindings.values = {var: bindings.values[var] for var in order}
-    bindings.alerts = {var: bindings.alerts[var] for var in order if var in bindings.alerts}
-    bindings.derived = {var: bindings.derived[var] for var in order if var in bindings.derived}
 
 
 def _apply(update: _Update, bindings: Bindings) -> None:

@@ -13,9 +13,10 @@ alert when two bound sets intersect, with the intersection as evidence.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import AbstractSet, Mapping, Sequence, Union
 
-from ._scan import ScanError, Token, scan
+from ._scan import Cursor
 from .errors import (
     DuplicateRuleNameError,
     RuleSyntaxError,
@@ -28,7 +29,6 @@ ALERT_YES = "alert_yes"
 ALERT_NO = "alert_no"
 
 _CMP_OPS = (">=", "<=", "==", "!=", ">", "<")
-_OPERATORS = _CMP_OPS + ("(", ")", ",", "?")
 
 
 # --- condition AST ------------------------------------------------------------
@@ -179,71 +179,25 @@ def load_rules(path) -> RuleSet:
 
 def parse_rules(text: str) -> RuleSet:
     """Parse ``RULE name(p, ...) [ON ctx] WHEN cond THEN action[, action]`` blocks."""
-    try:
-        tokens = scan(text, _OPERATORS)
-    except ScanError as exc:
-        raise RuleSyntaxError(f"line {exc.line}: {exc.message}") from None
-    parser = _RuleParser(tokens)
+    parser = _RuleParser(text)
     rules = []
-    while not parser.at_end():
+    while parser.peek().kind != "EOF":
         rules.append(parser.rule())
-    try:
-        return RuleSet(rules)
-    except DuplicateRuleNameError:
-        raise
+    return RuleSet(rules)
 
 
-class _RuleParser:
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
-        self.pos = 0
+class _RuleParser(Cursor):
+    operators = _CMP_OPS + ("(", ")", ",", "?")
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
-
-    def at_end(self) -> bool:
-        return self.peek().kind == "EOF"
-
-    def advance(self) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "EOF":
-            self.pos += 1
-        return tok
-
-    def fail(self, message: str) -> RuleSyntaxError:
-        tok = self.peek()
-        return RuleSyntaxError(f"line {tok.line}: {message} (at {tok.text!r})")
-
-    def keyword(self, word: str) -> None:
-        tok = self.peek()
-        if tok.kind == "IDENT" and tok.text.upper() == word:
-            self.advance()
-            return
-        raise self.fail(f"expected {word}")
-
-    def at_keyword(self, word: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "IDENT" and tok.text.upper() == word
-
-    def op(self, text: str) -> None:
-        tok = self.peek()
-        if tok.kind == "OP" and tok.text == text:
-            self.advance()
-            return
-        raise self.fail(f"expected '{text}'")
-
-    def ident(self) -> str:
-        tok = self.peek()
-        if tok.kind != "IDENT":
-            raise self.fail("expected identifier")
-        return self.advance().text
+    def error(self, message: str, line: int, column: int) -> RuleSyntaxError:
+        return RuleSyntaxError(f"line {line}: {message}")
 
     def rule(self) -> Rule:
         self.keyword("RULE")
         name = self.ident()
         self.op("(")
         params = [self.ident()]
-        while self.peek().kind == "OP" and self.peek().text == ",":
+        while self.at_op(","):
             self.advance()
             params.append(self.ident())
         self.op(")")
@@ -261,7 +215,7 @@ class _RuleParser:
         condition = self.cond_or(env)
         self.keyword("THEN")
         actions = [self.action(env)]
-        while self.peek().kind == "OP" and self.peek().text == ",":
+        while self.at_op(","):
             self.advance()
             actions.append(self.action(env))
         return Rule(name, tuple(params), context, condition, tuple(actions))
@@ -281,53 +235,30 @@ class _RuleParser:
         return parts[0] if len(parts) == 1 else And(tuple(parts))
 
     def cond_atom(self, env: "_Declared") -> CondExpr:
-        tok = self.peek()
-        if tok.kind == "OP" and tok.text == "(":
+        if self.at_op("("):
             self.advance()
             inner = self.cond_or(env)
             self.op(")")
             return inner
+        tok = self.peek()
         if tok.kind != "IDENT":
             raise self.fail("expected condition")
         word = tok.text.lower()
+        sets = partial(self.set_expr, env)
         if word == "nonempty":
-            self.advance()
-            self.op("(")
-            expr = self.set_expr(env)
-            self.op(")")
-            return NonEmpty(expr)
+            return NonEmpty(*self.call(sets))
         if word == "subset":
-            self.advance()
-            self.op("(")
-            left = self.set_expr(env)
-            self.op(",")
-            right = self.set_expr(env)
-            self.op(")")
-            return Subset(left, right)
+            return Subset(*self.call(sets, sets))
         if word == "size":
-            self.advance()
-            self.op("(")
-            expr = self.set_expr(env)
-            self.op(")")
+            (expr,) = self.call(sets)
             op_tok = self.peek()
             if op_tok.kind != "OP" or op_tok.text not in _CMP_OPS:
                 raise self.fail("expected comparison operator")
             self.advance()
-            val_tok = self.peek()
-            if val_tok.kind != "INT":
-                raise self.fail("expected integer")
-            self.advance()
-            return SizeCmp(expr, op_tok.text, int(val_tok.text))
+            return SizeCmp(expr, op_tok.text, self.integer())
         if word == "exists":
-            self.advance()
-            self.op("(")
-            s = self.pattern_term(env)
-            self.op(",")
-            p = self.pattern_term(env, predicate=True)
-            self.op(",")
-            o = self.pattern_term(env)
-            self.op(")")
-            return Exists(s, p, o)
+            term = partial(self.pattern_term, env)
+            return Exists(*self.call(term, partial(term, predicate=True), term))
         raise self.fail("expected nonempty/subset/size/exists")
 
     def set_expr(self, env: "_Declared") -> SetExpr:
@@ -335,35 +266,28 @@ class _RuleParser:
         if tok.kind != "IDENT":
             raise self.fail("expected set expression")
         if tok.text.lower() == "intersect":
-            self.advance()
-            self.op("(")
-            left = self.set_expr(env)
-            self.op(",")
-            right = self.set_expr(env)
-            self.op(")")
-            return Intersect(left, right)
+            sets = partial(self.set_expr, env)
+            return Intersect(*self.call(sets, sets))
         name = self.advance().text
         if name not in env.params:
             raise RuleSyntaxError(f"condition references undeclared param '{name}'")
         return SetRef(name)
 
     def pattern_term(self, env: "_Declared", predicate: bool = False) -> str | None:
-        tok = self.peek()
-        if tok.kind == "OP" and tok.text == "?":
+        if self.at_op("?"):
             self.advance()
             return None
+        tok = self.peek()
         if tok.kind == "QUOTED":
-            self.advance()
-            return tok.text if predicate else normalize(tok.text)
-        if tok.kind == "IDENT" and not predicate:
+            return self.quoted("predicate" if predicate else "token", verbatim=predicate)
+        if tok.kind == "IDENT" and predicate:
+            return self.advance().text
+        if tok.kind == "IDENT":
             if tok.text != env.context:
                 raise RuleSyntaxError(
                     f"pattern term '{tok.text}' is neither quoted, '?', nor the context param")
             self.advance()
             return _CONTEXT_SENTINEL
-        if tok.kind == "IDENT" and predicate:
-            self.advance()
-            return tok.text
         raise self.fail("expected quoted token, '?', or context param")
 
     def action(self, env: "_Declared") -> Action:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -250,6 +252,25 @@ class TestSameAs:
             got = [(t.subject, t.object) for t in graph.match_pattern(
                 name, "hasVulnerability", None)]
             assert got == expected
+
+    def test_reads_leave_the_graph_unchanged(self, schema):
+        graph = Graph(schema)
+        names = [f"n{i}" for i in range(8)]
+        for name in names:
+            graph.assert_triple(name, "hasVulnerability", f"v{name}")
+            graph.assert_triple(name, "type", "product")
+        # chain merges: n7 joins n6's class before n6 joins n4's, and so on
+        for a, b in [("n6", "n7"), ("n4", "n5"), ("n5", "n6"), ("n2", "n3"),
+                     ("n3", "n4"), ("n0", "n1"), ("n1", "n2")]:
+            graph.merge_same_as(a, b)
+        state = {key: value for key, value in vars(graph).items() if key != "schema"}
+        before = copy.deepcopy(state)
+        assert [graph.canonical(name) for name in names] == ["n0"] * 8
+        assert graph.merged() == {name: "n0" for name in names[1:]}
+        assert len(graph.match_pattern("n7", "hasVulnerability", None)) == 8
+        assert len(graph.match_pattern(None, None, "vn5")) == 1
+        assert graph.instances_of("product") == {"n0"}
+        assert state == before
 
     def test_results_invariant_under_renaming(self, schema):
         left = Graph(schema)

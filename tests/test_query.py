@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import copy
+import sys
+
 import numpy as np
 import pytest
 from helpers import random_ast
@@ -118,6 +121,33 @@ class TestDecompose:
         assert [n.side for n in plan.nodes] == [VECTOR_SIDE, GRAPH_SIDE, GRAPH_SIDE]
         assert frozenset((0, 1)) in plan.parallel_pairs()
         assert frozenset((0, 2)) not in plan.parallel_pairs()
+
+    def test_waves_and_ancestors_match_path_oracle(self):
+        assert decompose(parse(QUERY_1)).waves == ((0, 1), (2,))
+        rng = np.random.default_rng(31)
+        for _ in range(40):
+            ast = random_ast(
+                rng,
+                terms=["dos"], classes=["vulnerability"],
+                relations=["vulnerability"], entities=["mysql"],
+                rule_names=["alert"], max_statements=8,
+            )
+            plan = decompose(ast)
+            n = len(plan.nodes)
+            reach = {(a, b) for a, b in plan.edges}
+            for mid in range(n):   # transitive closure, Floyd-Warshall order
+                reach |= {(a, b) for a, m in reach if m == mid
+                          for m2, b in reach if m2 == mid}
+            assert plan.ancestors == tuple(
+                frozenset(a for a, b in reach if b == i) for i in range(n))
+            assert plan.parallel_pairs() == {
+                frozenset((a, b)) for a in range(n) for b in range(a + 1, n)
+                if (a, b) not in reach}
+            assert sorted(i for wave in plan.waves for i in wave) == list(range(n))
+            depth = {i: d for d, wave in enumerate(plan.waves) for i in wave}
+            assert all(depth[a] < depth[b] for a, b in plan.edges)
+            assert all(d == 0 or any(depth[a] == d - 1 for a in plan.ancestors[i])
+                       for i, d in depth.items())
 
     def test_single_search(self):
         plan = decompose(parse("SEARCH 'dos' AS V"))
@@ -289,6 +319,16 @@ class TestVkgSearch:
             ("aa", scores["bb"]), ("cc", scores["cc"])]
         assert vkg_search("q", "c", 1, graph, model, table) == [("aa", scores["bb"])]
 
+    def test_search_excludes_the_querys_own_same_as_class(self):
+        graph, model, table = same_as_fixture(aa=0.995, bb=0.981, cc=0.9, dd=0.8)
+        for query in ("aa", "bb"):
+            scores = dict(model.top_k(query, len(model)))
+            others = [("cc", scores["cc"]), ("dd", scores["dd"])]
+            for cls in ("c", None):
+                # bb is the query's nearest token, but it stands for aa's class
+                assert vkg_search(query, cls, 2, graph, model, table) == others
+                assert vkg_search(query, cls, 3, graph, model, table) == others
+
 
 def same_as_fixture(**cosines):
     """aa, bb, cc typed c and linked, aa sameAs bb; q is a plain token at
@@ -400,6 +440,16 @@ class TestExecute:
         with pytest.raises(ExecutionError) as err:
             execute(plan, graph, model, table)
         assert err.value.statement_index == 1
+        with pytest.raises(ExecutionError) as err:
+            execute(plan, graph, model, table, parallel=True)
+        assert err.value.statement_index == 1
+
+    def test_sequential_run_builds_no_pool_and_no_waves(self, schema, monkeypatch):
+        graph, model, table = alert_fixture(schema)
+        monkeypatch.setattr("vkg.query.ThreadPoolExecutor", None)
+        plan = decompose(parse(QUERY_1))
+        execute(plan, graph, model, table, builtin_rules())
+        assert "waves" not in vars(plan) and "ancestors" not in vars(plan)
 
     def test_format_bindings(self, schema):
         graph, model, table = alert_fixture(schema)
@@ -429,3 +479,41 @@ class TestParallelExecution:
             assert sequential.values == concurrent.values
             assert sequential.alerts == concurrent.alerts
             assert sequential.derived == concurrent.derived
+
+    def test_parallel_reads_leave_a_merged_graph_unchanged(self):
+        graph, model, table = same_as_fixture(aa=0.995, bb=0.981, cc=0.9, dd=0.8,
+                                              ee=0.7, ff=0.6)
+        graph.merge_same_as("ee", "ff")
+        graph.merge_same_as("dd", "ee")   # ff joins dd's class through ee
+        state = {key: value for key, value in vars(graph).items() if key != "schema"}
+        before = copy.deepcopy(state)
+        terms = ["q", "aa", "bb", "cc", "dd", "ee", "ff", "q"]
+        plan = decompose(parse("; ".join(
+            f"SEARCH '{t}' CLASS c TOPK 3 AS V{i}" for i, t in enumerate(terms))))
+        assert plan.waves == (tuple(range(len(terms))),)   # eight workers
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runs = [execute(plan, graph, model, table, parallel=True).values
+                    for _ in range(20)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert state == before
+        expected = execute(plan, graph, model, table).values
+        assert all(values == expected for values in runs)
+
+    def test_parallel_error_comes_from_the_earliest_failing_wave(self, schema):
+        graph, model, table = alert_fixture(schema)
+        # no rule set: INFER (statement 1, wave 1) fails; so does the SEARCH
+        # for an unknown token (statement 2, wave 0)
+        plan = decompose(parse("LIST vulnerability OF 'mysql' AS K; "
+                               "INFER alert FROM K, K ON 'mysql' AS A; "
+                               "SEARCH 'missing_token' AS V; "
+                               "SEARCH 'missing_too' AS W"))
+        assert plan.waves == ((0, 2, 3), (1,))
+        with pytest.raises(ExecutionError) as err:
+            execute(plan, graph, model, table)
+        assert err.value.statement_index == 1
+        with pytest.raises(ExecutionError) as err:
+            execute(plan, graph, model, table, parallel=True)
+        assert err.value.statement_index == 2

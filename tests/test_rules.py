@@ -64,6 +64,16 @@ class TestParsing:
             rules = parse_rules(f"RULE r(x) WHEN size(x) {op} 2 THEN ALERT")
             assert "r" in rules
 
+    @pytest.mark.parametrize("text", [
+        "RULE r(a) WHEN exists('', 'p', ?) THEN ALERT",
+        "RULE r(a) WHEN exists('mysql', '  ', ?) THEN ALERT",
+        "RULE r(a) WHEN nonempty(a) THEN ASSERT ' ' 'hasVulnerability' 'x'",
+        "RULE r(a) WHEN nonempty(a) THEN ASSERT 'mysql' 'hasVulnerability' ''",
+    ])
+    def test_empty_quoted_token_is_syntax_error(self, text):
+        with pytest.raises(RuleSyntaxError, match="line 1: empty quoted"):
+            parse_rules(text)
+
 
 class TestOverlapRule:
     def test_overlap_yes_with_evidence(self, graph):
