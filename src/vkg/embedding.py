@@ -233,14 +233,12 @@ def pair_loss(center: np.ndarray, context: np.ndarray,
 
 def pair_gradients(center: np.ndarray, context: np.ndarray,
                    negatives: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Analytic gradients of :func:`pair_loss` wrt center, context, negatives."""
-    negatives = np.asarray(negatives, dtype=np.float64)
-    g_pos = _sigmoid(np.array([np.dot(context, center)]))[0] - 1.0
-    g_negs = _sigmoid(negatives @ center)
-    grad_center = g_pos * context + g_negs @ negatives
-    grad_context = g_pos * center
-    grad_negatives = np.outer(g_negs, center)
-    return grad_center, grad_context, grad_negatives
+    """Gradients of :func:`pair_loss` wrt center, context, negatives (the training kernel)."""
+    g_center, g_context, g_negs = _gradients(
+        np.asarray(center, dtype=np.float64)[None],
+        np.asarray(context, dtype=np.float64)[None],
+        np.asarray(negatives, dtype=np.float64)[None])
+    return g_center[0], g_context[0], g_negs[0]
 
 
 def train(corpus: Iterable[Sequence[str]], cfg: TrainingConfig) -> EmbeddingModel:
@@ -267,7 +265,8 @@ def train(corpus: Iterable[Sequence[str]], cfg: TrainingConfig) -> EmbeddingMode
         np.array([index[t] for t in sent if t in index], dtype=np.int64)
         for sent in sentences
     ]
-    encoded = [sent for sent in encoded if len(sent) >= 1]
+    # window pairs built once for all epochs; a sentence without pairs takes no step
+    pairs = [p for p in (_window_pairs(s, cfg.window) for s in encoded) if len(p[0])]
 
     rng = np.random.default_rng(cfg.seed)
     w_in = (rng.random((vocab_size, cfg.dimension)) - 0.5) / cfg.dimension
@@ -277,18 +276,11 @@ def train(corpus: Iterable[Sequence[str]], cfg: TrainingConfig) -> EmbeddingMode
     freq = np.array([counts[tok] for tok in vocab], dtype=np.float64) ** 0.75
     noise = freq / freq.sum()
 
-    pairs_per_sentence = [_pair_count(len(sent), cfg.window) for sent in encoded]
-    total_pairs = cfg.epochs * sum(pairs_per_sentence)
-    if total_pairs == 0:
-        return EmbeddingModel(vocab, w_in, {tok: counts[tok] for tok in vocab})
-
+    total_pairs = cfg.epochs * sum(len(centers) for centers, _ in pairs)
     min_alpha = cfg.learning_rate * 1e-4
     done = 0
     for _ in range(cfg.epochs):
-        for sent in encoded:
-            centers, contexts = _window_pairs(sent, cfg.window)
-            if len(centers) == 0:
-                continue
+        for centers, contexts in pairs:
             alpha = max(min_alpha, cfg.learning_rate * (1.0 - done / total_pairs))
             negs = rng.choice(vocab_size, size=(len(centers), cfg.negatives), p=noise)
             _sentence_step(w_in, w_out, centers, contexts, negs, alpha)
@@ -297,36 +289,32 @@ def train(corpus: Iterable[Sequence[str]], cfg: TrainingConfig) -> EmbeddingMode
     return EmbeddingModel(vocab, w_in, {tok: counts[tok] for tok in vocab})
 
 
-def _pair_count(n: int, window: int) -> int:
-    return sum(min(n - 1, i + window) - max(0, i - window) for i in range(n))
-
-
 def _window_pairs(sent: np.ndarray, window: int) -> tuple[np.ndarray, np.ndarray]:
-    centers, contexts = [], []
-    n = len(sent)
-    for i in range(n):
-        lo, hi = max(0, i - window), min(n, i + window + 1)
-        for j in range(lo, hi):
-            if j != i:
-                centers.append(sent[i])
-                contexts.append(sent[j])
-    return np.array(centers, dtype=np.int64), np.array(contexts, dtype=np.int64)
+    """(center, context) ids of every pair within ``window``, by center then context position."""
+    offsets = np.concatenate([np.arange(-window, 0), np.arange(1, window + 1)])
+    i = np.repeat(np.arange(len(sent)), len(offsets))
+    j = i + np.tile(offsets, len(sent))
+    keep = (j >= 0) & (j < len(sent))
+    return sent[i[keep]], sent[j[keep]]
 
 
-def _sentence_step(w_in: np.ndarray, w_out: np.ndarray, centers: np.ndarray,
-                   contexts: np.ndarray, negs: np.ndarray, alpha: float) -> None:
-    """One minibatch SGD step over all window pairs of a sentence."""
-    v_c = w_in[centers]                                   # (P, D)
-    u_o = w_out[contexts]                                 # (P, D)
-    u_n = w_out[negs]                                     # (P, N, D)
-
+def _gradients(v_c: np.ndarray, u_o: np.ndarray,
+               u_n: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`pair_loss` gradients wrt centers (P, D), contexts (P, D), negatives (P, N, D)."""
     g_pos = _sigmoid(np.einsum("pd,pd->p", u_o, v_c)) - 1.0        # (P,)
     g_neg = _sigmoid(np.einsum("pnd,pd->pn", u_n, v_c))            # (P, N)
 
     grad_center = g_pos[:, None] * u_o + np.einsum("pn,pnd->pd", g_neg, u_n)
     grad_context = g_pos[:, None] * v_c
     grad_negs = g_neg[:, :, None] * v_c[:, None, :]
+    return grad_center, grad_context, grad_negs
 
+
+def _sentence_step(w_in: np.ndarray, w_out: np.ndarray, centers: np.ndarray,
+                   contexts: np.ndarray, negs: np.ndarray, alpha: float) -> None:
+    """One minibatch SGD step over all window pairs of a sentence."""
+    grad_center, grad_context, grad_negs = _gradients(
+        w_in[centers], w_out[contexts], w_out[negs])
     np.add.at(w_in, centers, -alpha * grad_center)
     np.add.at(w_out, contexts, -alpha * grad_context)
     np.add.at(w_out, negs.ravel(), -alpha * grad_negs.reshape(-1, w_out.shape[1]))

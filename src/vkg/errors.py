@@ -53,8 +53,8 @@ class DuplicateTokenError(VkgError):
     """Token appears twice in an embedding file."""
 
 
-class InvalidTokenError(VkgError):
-    """Vocabulary token is empty or contains whitespace (unwritable as .vec)."""
+class InvalidTokenError(VkgError, ValueError):
+    """Token is empty, holds whitespace (unwritable as .vec) or a reserved graph character."""
 
 
 class OutOfVocabularyError(VkgError):

@@ -141,34 +141,25 @@ def evaluate_backend(backend: str, groups: Sequence[SimilarityGroup],
     start = time.perf_counter()
     if backend == "graph":
         universe = sorted(graph.entities())
-        universe_set = set(universe)
+        known, where = set(universe), "graph"
+    else:
+        known, where = model, "vocabulary"
+    rank = {
+        "graph": lambda member, kind: rank_graph(graph, member, k, universe),
+        "vector": lambda member, kind: rank_vector(model, member, k),
+        "vkg": lambda member, kind: rank_vkg(graph, model, links, member, k,
+                                             kind_to_class.get(kind)),
+    }[backend]
     for group in groups:
         aps = []
         for member in group.members:
+            if member not in known:
+                skipped.append((group.name, member))
+                logger.warning("%s backend: '%s' not in %s, query skipped",
+                               backend, member, where)
+                continue
             relevant = set(group.members) - {member}
-            if backend == "graph":
-                if member not in universe_set:
-                    skipped.append((group.name, member))
-                    logger.warning("graph backend: '%s' not in graph, query skipped",
-                                   member)
-                    continue
-                ranking = rank_graph(graph, member, k, universe)
-            elif backend == "vector":
-                if member not in model:
-                    skipped.append((group.name, member))
-                    logger.warning("vector backend: '%s' not in vocabulary, "
-                                   "query skipped", member)
-                    continue
-                ranking = rank_vector(model, member, k)
-            else:
-                if member not in model:
-                    skipped.append((group.name, member))
-                    logger.warning("vkg backend: '%s' not in vocabulary, "
-                                   "query skipped", member)
-                    continue
-                ranking = rank_vkg(graph, model, links, member, k,
-                                   kind_to_class.get(group.kind))
-            aps.append(average_precision(ranking, relevant))
+            aps.append(average_precision(rank(member, group.kind), relevant))
         if aps:
             per_group[group.name] = sum(aps) / len(aps)
     elapsed = time.perf_counter() - start

@@ -20,6 +20,7 @@ from typing import Iterable, Iterator, Union
 
 from .errors import (
     GraphFormatError,
+    InvalidTokenError,
     SchemaError,
     UnknownClassError,
     UnknownRelationError,
@@ -34,11 +35,11 @@ _WHITESPACE = re.compile(r"\s+")
 def normalize(token: str) -> str:
     """Normalize an entity or class token: lowercase, whitespace runs to '_'.
 
-    Idempotent; raises ValueError on empty input.
+    Idempotent; raises InvalidTokenError (a ValueError) on empty input.
     """
     norm = _WHITESPACE.sub("_", token.strip().lower())
     if not norm:
-        raise ValueError("empty token")
+        raise InvalidTokenError("empty token")
     return norm
 
 
@@ -514,5 +515,5 @@ _BAD_CHARS = frozenset('<>"')
 
 def _safe_token(token: str) -> str:
     if _BAD_CHARS & set(token):
-        raise ValueError(f"token {token!r} contains a reserved character")
+        raise InvalidTokenError(f"token {token!r} contains a reserved character")
     return token

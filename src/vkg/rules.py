@@ -12,9 +12,10 @@ alert when two bound sets intersect, with the intersection as evidence.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
-from typing import AbstractSet, Mapping, Sequence, Union
+from typing import AbstractSet, Iterator, Mapping, Sequence, Union
 
 from ._scan import Cursor
 from .errors import (
@@ -27,6 +28,9 @@ from .kg import Graph, Triple, normalize
 
 ALERT_YES = "alert_yes"
 ALERT_NO = "alert_no"
+
+#: Deepest nesting of condition parentheses and ``intersect(`` a rule may use.
+MAX_NESTING = 64
 
 _CMP_OPS = (">=", "<=", "==", "!=", ">", "<")
 
@@ -188,9 +192,19 @@ def parse_rules(text: str) -> RuleSet:
 
 class _RuleParser(Cursor):
     operators = _CMP_OPS + ("(", ")", ",", "?")
+    depth = 0
 
     def error(self, message: str, line: int, column: int) -> RuleSyntaxError:
         return RuleSyntaxError(f"line {line}: {message}")
+
+    @contextmanager
+    def nested(self) -> Iterator[None]:
+        """One more ``(`` or ``intersect(`` level, at most :data:`MAX_NESTING` deep."""
+        if self.depth == MAX_NESTING:
+            raise self.fail(f"nesting deeper than {MAX_NESTING} levels")
+        self.depth += 1
+        yield
+        self.depth -= 1
 
     def rule(self) -> Rule:
         self.keyword("RULE")
@@ -236,9 +250,10 @@ class _RuleParser(Cursor):
 
     def cond_atom(self, env: "_Declared") -> CondExpr:
         if self.at_op("("):
-            self.advance()
-            inner = self.cond_or(env)
-            self.op(")")
+            with self.nested():
+                self.advance()
+                inner = self.cond_or(env)
+                self.op(")")
             return inner
         tok = self.peek()
         if tok.kind != "IDENT":
@@ -267,7 +282,8 @@ class _RuleParser(Cursor):
             raise self.fail("expected set expression")
         if tok.text.lower() == "intersect":
             sets = partial(self.set_expr, env)
-            return Intersect(*self.call(sets, sets))
+            with self.nested():
+                return Intersect(*self.call(sets, sets))
         name = self.advance().text
         if name not in env.params:
             raise RuleSyntaxError(f"condition references undeclared param '{name}'")

@@ -50,6 +50,12 @@ class TestStaging:
         assert run(workspace, "ingest") == 2
         assert "internal error" in capsys.readouterr().err
 
+    def test_empty_gazetteer_entity_exits_1(self, workspace, capsys):
+        with open(workspace / "gazetteer.tsv", "a", encoding="utf-8") as fh:
+            fh.write("foo bar\t\tproduct\n")
+        assert run(workspace, "ingest") == 1
+        assert "error: empty token" in capsys.readouterr().err
+
 
 class TestPipeline:
     def test_full_pipeline_and_search(self, workspace, capsys):
@@ -92,6 +98,19 @@ class TestPipeline:
             assert run(workspace, stage) == 0
         for name, blob in first.items():
             assert (workspace / "out" / name).read_bytes() == blob
+
+    def test_committed_artifacts_match_a_fresh_run(self, workspace):
+        for stage in ("ingest", "train", "link"):
+            assert run(workspace, stage) == 0
+        committed, fresh = FIXTURES / "out", workspace / "out"
+        for name in ("graph.nt", "tokens.txt", "links.txt"):
+            assert (fresh / name).read_bytes() == (committed / name).read_bytes(), name
+        # the float columns depend on the numpy build, header and tokens do not
+        committed_rows = (committed / "model.vec").read_text().splitlines()
+        fresh_rows = (fresh / "model.vec").read_text().splitlines()
+        assert fresh_rows[0] == committed_rows[0]
+        assert [row.split()[0] for row in fresh_rows[1:]] == [
+            row.split()[0] for row in committed_rows[1:]]
 
     def test_seed_env_override_changes_model(self, workspace, monkeypatch):
         assert run(workspace, "ingest") == 0

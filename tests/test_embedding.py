@@ -11,6 +11,8 @@ from vkg import datasets
 from vkg.embedding import (
     EmbeddingModel,
     TrainingConfig,
+    _sentence_step,
+    _window_pairs,
     pair_gradients,
     pair_loss,
     train,
@@ -309,3 +311,53 @@ class TestGradients:
         after = pair_loss(center - lr * g_center, context - lr * g_context,
                           negatives - lr * g_negs)
         assert after < before
+
+
+def window_pairs_oracle(sent, window):
+    """The trainer's former per-sentence double loop."""
+    centers, contexts = [], []
+    n = len(sent)
+    for i in range(n):
+        lo, hi = max(0, i - window), min(n, i + window + 1)
+        for j in range(lo, hi):
+            if j != i:
+                centers.append(sent[i])
+                contexts.append(sent[j])
+    return np.array(centers, dtype=np.int64), np.array(contexts, dtype=np.int64)
+
+
+class TestTrainerOracles:
+    @pytest.mark.parametrize("window", range(1, 9))
+    def test_window_pairs_match_double_loop(self, window):
+        rng = np.random.default_rng(window)
+        for n in range(21):
+            for sent in (np.arange(100, 100 + n, dtype=np.int64),
+                         rng.integers(0, 4, size=n, dtype=np.int64)):
+                centers, contexts = _window_pairs(sent, window)
+                want_centers, want_contexts = window_pairs_oracle(sent, window)
+                assert centers.dtype == contexts.dtype == np.int64
+                assert centers.tolist() == want_centers.tolist()
+                assert contexts.tolist() == want_contexts.tolist()
+
+    def test_sentence_step_is_the_sum_of_pair_gradients(self):
+        rng = np.random.default_rng(9)
+        vocab, dim, alpha = 6, 5, 0.1
+        w_in = rng.normal(size=(vocab, dim))
+        w_out = rng.normal(size=(vocab, dim))
+        # ids repeat within and across centers, contexts and negatives
+        centers = np.array([0, 1, 1, 2, 0, 3], dtype=np.int64)
+        contexts = np.array([1, 0, 2, 1, 3, 0], dtype=np.int64)
+        negs = rng.integers(0, 4, size=(len(centers), 3))
+        negs[0] = [1, 1, 0]
+
+        want_in, want_out = w_in.copy(), w_out.copy()
+        for c, o, ns in zip(centers, contexts, negs):
+            g_center, g_context, g_negs = pair_gradients(w_in[c], w_out[o], w_out[ns])
+            want_in[c] -= alpha * g_center
+            want_out[o] -= alpha * g_context
+            for n, g in zip(ns, g_negs):
+                want_out[n] -= alpha * g
+
+        _sentence_step(w_in, w_out, centers, contexts, negs, alpha)
+        np.testing.assert_allclose(w_in, want_in, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(w_out, want_out, rtol=1e-12, atol=1e-12)

@@ -9,6 +9,7 @@ import pytest
 
 from vkg.errors import (
     GraphFormatError,
+    InvalidTokenError,
     SchemaError,
     UnknownClassError,
     UnknownRelationError,
@@ -38,6 +39,16 @@ class TestNormalize:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             normalize("   ")
+
+    def test_bad_tokens_are_vkg_errors_and_value_errors(self):
+        graph = Graph(pet_schema())
+        for bad in (lambda: normalize(""),
+                    lambda: graph.assert_triple("x<y", "hasPet", "milo")):
+            with pytest.raises(InvalidTokenError) as err:
+                bad()
+            assert isinstance(err.value, VkgError)
+            assert isinstance(err.value, ValueError)
+        assert len(graph) == 0
 
 
 class TestAssert:

@@ -37,7 +37,7 @@ from vkg.query import (
     unparse,
     vkg_search,
 )
-from vkg.rules import builtin_rules
+from vkg.rules import builtin_rules, parse_rules
 
 QUERY_1 = ("SEARCH 'denial_of_service' CLASS Vulnerability AS V; "
            "LIST vulnerability OF 'MySQL' AS K; "
@@ -442,6 +442,18 @@ class TestExecute:
         assert err.value.statement_index == 1
         with pytest.raises(ExecutionError) as err:
             execute(plan, graph, model, table, parallel=True)
+        assert err.value.statement_index == 1
+
+    @pytest.mark.parametrize("parallel", [False, True])
+    def test_reserved_character_in_asserted_token_is_execution_error(
+            self, schema, parallel):
+        graph, model, table = alert_fixture(schema)
+        rules = parse_rules("RULE r(a) WHEN size(a) == 0 "
+                            "THEN ASSERT 'x<y' 'hasVulnerability' 'z'")
+        plan = decompose(parse("LIST vulnerability OF 'ghost' AS K; "
+                               "INFER r FROM K AS A", rules=rules))
+        with pytest.raises(ExecutionError, match="reserved character") as err:
+            execute(plan, graph, model, table, rules, parallel=parallel)
         assert err.value.statement_index == 1
 
     def test_sequential_run_builds_no_pool_and_no_waves(self, schema, monkeypatch):

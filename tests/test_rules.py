@@ -13,7 +13,7 @@ from vkg.errors import (
     UnknownRuleError,
 )
 from vkg.kg import Graph
-from vkg.rules import builtin_rules, evaluate, load_rules, parse_rules
+from vkg.rules import MAX_NESTING, builtin_rules, evaluate, load_rules, parse_rules
 
 
 @pytest.fixture()
@@ -73,6 +73,28 @@ class TestParsing:
     def test_empty_quoted_token_is_syntax_error(self, text):
         with pytest.raises(RuleSyntaxError, match="line 1: empty quoted"):
             parse_rules(text)
+
+    @staticmethod
+    def nested_parens(depth: int) -> str:
+        return ("RULE r(a) WHEN " + "(" * depth + "nonempty(a)" + ")" * depth
+                + " THEN ALERT")
+
+    @staticmethod
+    def nested_intersects(depth: int) -> str:
+        return ("RULE r(a) WHEN nonempty(" + "intersect(a, " * depth + "a"
+                + ")" * depth + ") THEN ALERT")
+
+    @pytest.mark.parametrize("depth", [1000, MAX_NESTING + 1])
+    def test_nesting_past_the_limit_is_syntax_error(self, depth):
+        for text in (self.nested_parens(depth), self.nested_intersects(depth)):
+            with pytest.raises(RuleSyntaxError, match="nesting deeper than"):
+                parse_rules(text)
+
+    def test_nesting_within_the_limit_parses_and_evaluates(self, graph):
+        for depth in (50, MAX_NESTING):
+            for text in (self.nested_parens(depth), self.nested_intersects(depth)):
+                alert, _ = evaluate(parse_rules(text)["r"], [{"x"}], graph)
+                assert alert.verdict and alert.evidence == {"x"}
 
 
 class TestOverlapRule:
