@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import CorpusFormatError
+from .errors import CorpusFormatError, InvalidTokenError
 from .kg import Graph, Schema, Triple, normalize
 
 SOURCES = frozenset({"nvd", "social", "blog", "market", "fixture"})
@@ -88,7 +88,8 @@ class Gazetteer:
                 if len(fields) != 3:
                     raise CorpusFormatError(
                         f"{path}:{lineno}: expected 3 tab-separated fields")
-                pairs.append((fields[0], fields[1], fields[2]))
+                pairs.append((fields[0], _field_token(fields[1], path, lineno),
+                              _field_token(fields[2], path, lineno)))
         return cls.from_pairs(pairs, schema)
 
     def match(self, tokens: Sequence[str]) -> list[tuple[int, int, str]]:
@@ -245,7 +246,8 @@ def load_templates(path, schema: Schema) -> list[RelationTemplate]:
                 raise CorpusFormatError(
                     f"{path}:{lineno}: expected 3 or 4 tab-separated fields")
             subject_class, relation, object_class = (
-                normalize(fields[0]), fields[1], normalize(fields[2]))
+                _field_token(fields[0], path, lineno), fields[1],
+                _field_token(fields[2], path, lineno))
             for cls in (subject_class, object_class):
                 if not schema.has_class(cls):
                     raise CorpusFormatError(
@@ -259,6 +261,14 @@ def load_templates(path, schema: Schema) -> list[RelationTemplate]:
             templates.append(RelationTemplate(
                 subject_class, relation, object_class, triggers))
     return templates
+
+
+def _field_token(field: str, path, lineno: int) -> str:
+    """The normalized token of a TSV field; an empty one is a located format error."""
+    try:
+        return normalize(field)
+    except InvalidTokenError as exc:
+        raise CorpusFormatError(f"{path}:{lineno}: {exc}") from None
 
 
 def load_stopwords(path) -> frozenset[str]:

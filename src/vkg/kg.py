@@ -406,15 +406,20 @@ class Graph:
                     out.add(self.canonical(t.subject))
         return out
 
+    def triples_with(self, predicate: str) -> list[Triple]:
+        """The stored triples with the predicate, as asserted: not canonicalized, unsorted."""
+        return list(self._by_p.get(predicate, ()))
+
     def entities(self) -> set[str]:
         """All raw (un-merged) entity nodes.
 
         Class names and literals are not entities; subjects/objects of
-        subClassOf triples and objects of type triples are classes.
+        subClassOf triples and objects of type triples are classes.  A
+        hasVector link describes an entity but does not make one.
         """
         out: set[str] = set()
         for t in self._triples:
-            if t.predicate == "subClassOf":
+            if t.predicate in ("subClassOf", "hasVector"):
                 continue
             out.add(t.subject)
             if isinstance(t.object, str) and t.predicate != "type":

@@ -1,16 +1,16 @@
 """hasVector links between graph entities and embedding vocabulary tokens.
 
-Linking is exact: an entity is linked iff its normalized id is a vocabulary
-token.  The table is immutable; retraining rebuilds it wholesale via
-:func:`relink`.  Links are also materialized as reserved-predicate triples
-(``<entity> <hasVector> "token"``) so a saved graph file carries the whole
-hybrid structure.
+One rule defines a link: entity ``e`` is linked iff the graph holds the
+reserved-predicate triple ``<e> <hasVector> "e"`` and ``e`` is a vocabulary
+token.  Links are identities, so a saved graph file carries the whole hybrid
+structure, and any other stored hasVector triple is stale.  :func:`link_all`
+brings the stored links in line with the rule; :func:`table_from_graph` reads
+them back.  The table is immutable; retraining rebuilds it via :func:`relink`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from types import MappingProxyType
 from typing import Mapping
 
@@ -18,7 +18,7 @@ import numpy as np
 
 from .embedding import EmbeddingModel
 from .errors import UnlinkedEntityError
-from .kg import Graph, Literal
+from .kg import Graph, Literal, Triple
 
 HAS_VECTOR = "hasVector"
 
@@ -37,12 +37,6 @@ class LinkTable:
         total = len(self.links) + len(self.unlinked)
         return len(self.links) / total if total else 1.0
 
-    @cached_property
-    def by_token(self) -> Mapping[str, tuple[str, ...]]:
-        """token -> sorted entities linked to it; built once per table."""
-        return MappingProxyType(
-            {token: tuple(entities) for token, entities in reverse_links(self).items()})
-
 
 @dataclass(frozen=True)
 class RelinkDiff:
@@ -51,22 +45,24 @@ class RelinkDiff:
 
 
 def link_all(graph: Graph, model: EmbeddingModel, model_version: int = 1) -> LinkTable:
-    """Rebuild every hasVector link for the graph against the model.
+    """Sync the graph's hasVector triples with the model.
 
-    Mutates the graph: stale hasVector triples are retracted and current
-    ones asserted.  Idempotent for a fixed (graph, model) pair.
+    Mutates the graph: only stale link triples are retracted and only
+    missing ones asserted.  Returns the table :func:`table_from_graph` then
+    reads.  Idempotent for a fixed (graph, model) pair.
     """
-    for t in [t for t in graph if t.predicate == HAS_VECTOR]:
-        graph.retract_triple(t.subject, t.predicate, t.object)
+    entities = graph.entities()
     links: dict[str, str] = {}
-    unlinked: set[str] = set()
-    for entity in sorted(graph.entities()):
-        if entity in model:
-            links[entity] = entity
-            graph.assert_triple(entity, HAS_VECTOR, Literal(entity))
+    for t in graph.triples_with(HAS_VECTOR):
+        if _is_link(t, entities, model):
+            links[t.subject] = t.subject
         else:
-            unlinked.add(entity)
-    return LinkTable(MappingProxyType(links), frozenset(unlinked), model_version)
+            graph.retract_triple(t.subject, t.predicate, t.object)
+    for entity in entities - links.keys():
+        if entity in model:
+            graph.assert_triple(entity, HAS_VECTOR, Literal(entity))
+            links[entity] = entity
+    return LinkTable(MappingProxyType(links), frozenset(entities - links.keys()), model_version)
 
 
 def relink(graph: Graph, new_model: EmbeddingModel,
@@ -113,13 +109,14 @@ def table_from_graph(graph: Graph, model: EmbeddingModel,
     """Reconstruct a LinkTable from the hasVector triples stored in a graph.
 
     Used when a pipeline stage reloads saved artifacts.  A stored link whose
-    token has dropped out of the model vocabulary counts as unlinked (the
-    caller should relink).
+    token has dropped out of the model vocabulary, or that is not an identity,
+    leaves its entity unlinked (the caller should relink).
     """
-    links: dict[str, str] = {}
-    for t in graph:
-        if t.predicate == HAS_VECTOR and isinstance(t.object, Literal) \
-                and t.object.value in model:
-            links[t.subject] = t.object.value
-    unlinked = frozenset(graph.entities() - set(links))
-    return LinkTable(MappingProxyType(links), unlinked, model_version)
+    entities = graph.entities()
+    links = {t.subject: t.subject for t in graph.triples_with(HAS_VECTOR)
+             if _is_link(t, entities, model)}
+    return LinkTable(MappingProxyType(links), frozenset(entities - links.keys()), model_version)
+
+
+def _is_link(t: Triple, entities: set[str], model: EmbeddingModel) -> bool:
+    return t.subject in entities and t.object == Literal(t.subject) and t.subject in model

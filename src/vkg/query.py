@@ -25,7 +25,7 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping, Union
+from typing import Union
 
 from ._scan import Cursor
 from .embedding import EmbeddingModel
@@ -297,40 +297,33 @@ def vkg_search(term: str, class_filter: str | None, k: int, graph: Graph,
     without a filter.  Hits are rewritten to their sameAs-canonical
     representative, and each canonical entity appears once, with its best
     score.  As ``top_k`` never returns the query token, a search never
-    returns the query's own sameAs class (the entity named by the term and
-    the entities linked to it, with everything merged into them).
+    returns the query's own sameAs class (the entity named by the term, with
+    everything merged into it).
     """
     term = normalize(term)
     if k <= 0:
         return []
     linked = links.links
     merged = graph.merged()
-    own = {graph.canonical(term)} | {merged.get(e, e) for e in links.by_token.get(term, ())}
+    own = {graph.canonical(term)}
     own |= {e for e, c in merged.items() if c in own}
-    qualifying: Mapping[str, str] | set[str] = linked
-    tokens: Iterable[str] = links.by_token
-    if class_filter is not None:
+    if class_filter is None:
+        qualifying = linked.keys() - own
+    else:
         if not graph.schema.has_class(class_filter):
             raise UnknownClassError(f"unknown class '{class_filter}'")
         allowed = graph.instances_of(class_filter)   # canonical entities
         qualifying = {e for e in allowed if e in linked}
         qualifying |= {e for e, c in merged.items() if c in allowed and e in linked}
         qualifying -= own
-        tokens = {linked[e] for e in qualifying}
-    elif any(linked.get(e, term) != term for e in own):
-        # the query's class reaches past the query token, which top_k skips
-        qualifying = linked.keys() - own
-        tokens = {linked[e] for e in qualifying}
-    # a canonical entity linked through several tokens can take several of
-    # the scan's slots; widen the scan by that many so k distinct ones fit
-    aliased = [e for e in merged if e in qualifying]
-    targets = {merged[e] for e in aliased}
-    width = k + len(aliased) - len({c for c in targets if c not in qualifying})
+    # each hit token is its own entity; a merged-away one can take a scan
+    # slot its canonical entity already holds, so widen the scan by one each
+    width = k + sum(e in qualifying for e in merged)
     results: list[tuple[str, float]] = []
     seen: set[str] = set()
-    for token, score in model.top_k(term, width, among=model.row_mask(tokens)):
-        hits = {merged.get(e, e) for e in links.by_token[token] if e in qualifying}
-        for entity in sorted(hits - seen):
+    for token, score in model.top_k(term, width, among=model.row_mask(qualifying)):
+        entity = merged.get(token, token)
+        if entity not in seen:
             seen.add(entity)
             results.append((entity, score))
     return results[:k]

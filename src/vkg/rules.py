@@ -358,9 +358,9 @@ def evaluate(rule: Rule, args: Sequence[AbstractSet[str]], graph: Graph,
         for action in rule.actions:
             if isinstance(action, AssertAction):
                 derived.append(graph.make_triple(
-                    _resolve_term(action.subject, ctx),
+                    _resolve(action.subject, ctx, "action"),
                     action.predicate,
-                    _resolve_term(action.object, ctx),
+                    _resolve(action.object, ctx, "action"),
                 ))
     alert = Alert(
         verdict=verdict,
@@ -369,14 +369,6 @@ def evaluate(rule: Rule, args: Sequence[AbstractSet[str]], graph: Graph,
         context=ctx,
     )
     return alert, tuple(derived)
-
-
-def _resolve_term(term: str, ctx: str | None) -> str:
-    if term == _CONTEXT_SENTINEL:
-        if ctx is None:
-            raise UnboundParamError("action references the context param, none bound")
-        return ctx
-    return term
 
 
 def _eval_cond(cond: CondExpr, env: Mapping[str, frozenset[str]], graph: Graph,
@@ -403,8 +395,8 @@ def _eval_cond(cond: CondExpr, env: Mapping[str, frozenset[str]], graph: Graph,
         ok = _compare(len(value), cond.op, cond.value)
         return ok, value if ok else frozenset()
     if isinstance(cond, Exists):
-        s = _resolve_pattern(cond.subject, ctx)
-        o = _resolve_pattern(cond.object, ctx)
+        s = _resolve(cond.subject, ctx, "pattern")
+        o = _resolve(cond.object, ctx, "pattern")
         matches = graph.match_pattern(s, cond.predicate, o)
         witnesses = set()
         for t in matches:
@@ -415,10 +407,11 @@ def _eval_cond(cond: CondExpr, env: Mapping[str, frozenset[str]], graph: Graph,
     raise TypeError(f"unknown condition node {cond!r}")
 
 
-def _resolve_pattern(term: str | None, ctx: str | None) -> str | None:
+def _resolve(term: str | None, ctx: str | None, where: str) -> str | None:
+    """The context entity for the context param (unbound only in a hand-built Rule)."""
     if term == _CONTEXT_SENTINEL:
         if ctx is None:
-            raise UnboundParamError("pattern references the context param, none bound")
+            raise UnboundParamError(f"{where} references the context param, none bound")
         return ctx
     return term
 

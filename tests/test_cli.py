@@ -26,6 +26,15 @@ def run(workspace: Path, *argv: str) -> int:
     return main(["--manifest", str(workspace / "manifest.json"), *argv])
 
 
+def append_row(path: Path, row: str) -> int:
+    """Append one line to a TSV file; returns its line number."""
+    text = path.read_text(encoding="utf-8")
+    if text and not text.endswith("\n"):
+        text += "\n"
+    path.write_text(text + row + "\n", encoding="utf-8")
+    return len(text.splitlines()) + 1
+
+
 class TestStaging:
     def test_query_before_train_fails(self, workspace, capsys):
         assert run(workspace, "ingest") == 0
@@ -51,10 +60,19 @@ class TestStaging:
         assert "internal error" in capsys.readouterr().err
 
     def test_empty_gazetteer_entity_exits_1(self, workspace, capsys):
-        with open(workspace / "gazetteer.tsv", "a", encoding="utf-8") as fh:
-            fh.write("foo bar\t\tproduct\n")
+        lineno = append_row(workspace / "gazetteer.tsv", "foo bar\t\tproduct")
         assert run(workspace, "ingest") == 1
-        assert "error: empty token" in capsys.readouterr().err
+        assert f"gazetteer.tsv:{lineno}: empty token" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, row", [
+        ("gazetteer.tsv", "foo bar\tfoo_bar\t"),
+        ("templates.tsv", "\thasVulnerability\tvulnerability"),
+        ("templates.tsv", "product\thasVulnerability\t "),
+    ])
+    def test_empty_class_field_is_located(self, workspace, capsys, name, row):
+        lineno = append_row(workspace / name, row)
+        assert run(workspace, "ingest") == 1
+        assert f"{name}:{lineno}: empty token" in capsys.readouterr().err
 
 
 class TestPipeline:

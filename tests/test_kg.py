@@ -205,6 +205,25 @@ class TestInstancesOf:
             assert graph.instances_of(cls) == bfs(cls)
 
 
+class TestEntities:
+    def test_link_triple_does_not_make_an_entity(self, schema):
+        graph = Graph(schema)
+        graph.assert_triple("mysql", "hasVulnerability", "ghost_bug")
+        graph.assert_triple("mysql", "hasVector", Literal("mysql"))
+        graph.assert_triple("orphan", "hasVector", Literal("orphan"))
+        assert graph.entities() == {"mysql", "ghost_bug"}
+
+    def test_triples_with_is_raw_and_exact(self, schema):
+        graph = Graph(schema)
+        graph.assert_triple("aa", "hasVulnerability", "v1")
+        graph.assert_triple("bb", "hasVector", Literal("bb"))
+        graph.merge_same_as("aa", "bb")
+        assert graph.triples_with("hasVector") == [Triple("bb", "hasVector", Literal("bb"))]
+        assert graph.match_pattern(None, "hasVector", None) == [
+            Triple("aa", "hasVector", Literal("bb"))]
+        assert graph.triples_with("hasAttack") == []
+
+
 class TestSameAs:
     def test_merged_entities_share_triples(self, schema):
         graph = Graph(schema)

@@ -8,7 +8,7 @@ import pytest
 from vkg import embedding, linking
 from vkg.embedding import EmbeddingModel, TrainingConfig
 from vkg.errors import UnlinkedEntityError
-from vkg.kg import Graph, Literal
+from vkg.kg import Graph, Literal, Triple
 from vkg.linking import (
     audit_report,
     link_all,
@@ -66,6 +66,62 @@ class TestLinkAll:
         table = link_all(advisory_graph, model)
         assert "vulnerability" not in table.links
         assert "vulnerability" not in table.unlinked
+
+
+class TestLinkRule:
+    """A link is ``<e> <hasVector> "e"`` for an entity e in the vocabulary."""
+
+    def test_foreign_literal_is_unlinked_and_replaced(self, schema):
+        graph = Graph(schema)
+        graph.assert_triple("foo", "hasVulnerability", "ghost_bug")
+        graph.assert_triple("foo", "hasVector", Literal("bar"))
+        model = model_over(["foo", "bar"])
+        table = table_from_graph(graph, model)
+        assert not table.links and table.unlinked == {"foo", "ghost_bug"}
+        table = link_all(graph, model)
+        assert table.links == {"foo": "foo"}
+        assert graph.triples_with("hasVector") == [Triple("foo", "hasVector", Literal("foo"))]
+
+    def test_untagged_word_loses_its_link(self, schema):
+        graph = Graph(schema)
+        graph.assert_triple("foo", "type", "product")
+        model = model_over(["foo"])
+        assert link_all(graph, model).links == {"foo": "foo"}
+        graph.retract_triple("foo", "type", "product")
+        table = table_from_graph(graph, model)
+        assert not table.links and not table.unlinked
+        table = link_all(graph, model)
+        assert not table.links and not table.unlinked
+        assert len(graph) == 0
+
+    def test_relink_touches_only_stale_links(self, advisory_graph, monkeypatch):
+        graph = advisory_graph
+        model = model_over(sorted(graph.entities()) + ["newcomer"])
+        link_all(graph, model)
+        calls = []
+
+        def recording(name):
+            method = getattr(graph, name)
+
+            def record(*args):
+                calls.append((name, *args))
+                return method(*args)
+            return record
+
+        for name in ("assert_triple", "retract_triple"):
+            monkeypatch.setattr(graph, name, recording(name))
+        link = ("hasVector", Literal("newcomer"))
+        graph.assert_triple("newcomer", "type", "vulnerability")
+        calls.clear()
+        assert "newcomer" in link_all(graph, model).links
+        assert calls == [("assert_triple", "newcomer", *link)]
+        graph.retract_triple("newcomer", "type", "vulnerability")
+        calls.clear()
+        assert "newcomer" not in link_all(graph, model).links
+        assert calls == [("retract_triple", "newcomer", *link)]
+        calls.clear()
+        link_all(graph, model)
+        assert calls == []
 
 
 class TestRelink:

@@ -12,8 +12,20 @@ from vkg.errors import (
     UnboundParamError,
     UnknownRuleError,
 )
+from vkg import rules as rules_module
 from vkg.kg import Graph
-from vkg.rules import MAX_NESTING, builtin_rules, evaluate, load_rules, parse_rules
+from vkg.rules import (
+    MAX_NESTING,
+    AssertAction,
+    Exists,
+    NonEmpty,
+    Rule,
+    SetRef,
+    builtin_rules,
+    evaluate,
+    load_rules,
+    parse_rules,
+)
 
 
 @pytest.fixture()
@@ -195,6 +207,18 @@ class TestActionsAndBinding:
         rule = builtin_rules()["alert"]
         with pytest.raises(UnboundParamError):
             evaluate(rule, [{"a"}, {"a"}], graph)
+
+    @pytest.mark.parametrize("where", ["action", "pattern"])
+    def test_hand_built_rule_without_context_param(self, graph, where):
+        # the parser binds every use of the context param; a hand-built Rule
+        # can use it without declaring one
+        ctx = rules_module._CONTEXT_SENTINEL
+        condition = (Exists(ctx, "hasVulnerability", None) if where == "pattern"
+                     else NonEmpty(SetRef("a")))
+        rule = Rule("r", ("a",), None, condition,
+                    (AssertAction(ctx, "hasVulnerability", "x"),))
+        with pytest.raises(UnboundParamError, match=f"^{where} references"):
+            evaluate(rule, [{"mysql"}], graph)
 
     def test_derived_triples_do_not_mutate_base_graph(self, graph):
         rules = parse_rules(
