@@ -10,6 +10,7 @@ specific; what carries over from corpus to corpus is the ordering.
 
 from __future__ import annotations
 
+import heapq
 import json
 import logging
 import statistics
@@ -86,15 +87,18 @@ def average_precision(ranking: Sequence[str], relevant: set[str]) -> float:
 
 def rank_graph(graph: Graph, query: str, k: int,
                universe: Sequence[str] | None = None) -> list[str]:
-    """Entities ranked by Jaccard graph similarity to the query."""
+    """Entities ranked by Jaccard graph similarity to the query.
+
+    Descending score, ties by name.  Only the entities that share a
+    (predicate, neighbor) pair with the query are scored
+    (``Graph.similarities``); every other member of the universe scores 0.0.
+    """
     if universe is None:
         universe = sorted(graph.entities())
-    scored = sorted(
-        ((graph.graph_similarity(query, other), other)
-         for other in universe if other != query),
-        key=lambda pair: (-pair[0], pair[1]),
-    )
-    return [entity for _, entity in scored[:k]]
+    score, resolve = graph.similarities(query).get, graph.resolve
+    ranked = heapq.nsmallest(
+        k, ((-score(resolve(other), 0.0), other) for other in universe if other != query))
+    return [entity for _, entity in ranked]
 
 
 def rank_vector(model: EmbeddingModel, query: str, k: int) -> list[str]:

@@ -47,38 +47,64 @@ class Gazetteer:
     """Surface form -> (entity id, class) dictionary for entity extraction."""
 
     def __init__(self, entries: dict[tuple[str, ...], tuple[str, str]],
-                 schema: Schema | None = None):
+                 schema: Schema | None = None,
+                 origins: dict[tuple[str, ...], str] | None = None):
+        """``origins`` maps a surface form to the ``<path>:<line>`` of its
+        row; an error about that entry then starts with it."""
         self.entries = dict(entries)
         self.entity_class: dict[str, str] = {}
         self.max_len = max((len(k) for k in self.entries), default=0)
+        origins = origins or {}
         for surface, (entity, class_name) in self.entries.items():
+            where = f"{origins[surface]}: " if origins.get(surface) else ""
             if not surface:
-                raise CorpusFormatError("empty gazetteer surface form")
+                raise CorpusFormatError(f"{where}empty gazetteer surface form")
             if schema is not None and not schema.has_class(class_name):
                 raise CorpusFormatError(
-                    f"gazetteer entry '{' '.join(surface)}' maps to "
+                    f"{where}gazetteer entry '{' '.join(surface)}' maps to "
                     f"undeclared class '{class_name}'")
             previous = self.entity_class.get(entity)
             if previous is not None and previous != class_name:
                 raise CorpusFormatError(
-                    f"entity '{entity}' mapped to two classes "
+                    f"{where}entity '{entity}' mapped to two classes "
                     f"('{previous}' and '{class_name}')")
             self.entity_class[entity] = class_name
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[str, str, str]],
                    schema: Schema | None = None) -> "Gazetteer":
-        """Build from (surface form, entity id, class) rows."""
-        entries = {}
-        for surface, entity, class_name in pairs:
+        """Build from (surface form, entity id, class) rows.
+
+        A row repeating an earlier surface form must repeat its entity and
+        class too; a conflicting one is a CorpusFormatError.
+        """
+        return cls._from_rows(((*pair, "") for pair in pairs), schema)
+
+    @classmethod
+    def _from_rows(cls, rows: Iterable[tuple[str, str, str, str]],
+                   schema: Schema | None) -> "Gazetteer":
+        """from_pairs over rows that end in their origin (``<path>:<line>``
+        or ""), which then locates every error about the row."""
+        entries: dict[tuple[str, ...], tuple[str, str]] = {}
+        origins: dict[tuple[str, ...], str] = {}
+        for surface, entity, class_name, origin in rows:
             key = tuple(tokenize_text(surface))
-            entries[key] = (normalize(entity), normalize(class_name))
-        return cls(entries, schema)
+            value = (normalize(entity), normalize(class_name))
+            first = entries.setdefault(key, value)
+            if first != value:
+                where = f"{origin}: " if origin else ""
+                earlier = f" at {origins[key]}" if origins[key] else ""
+                raise CorpusFormatError(
+                    f"{where}surface form '{' '.join(key)}' maps to "
+                    f"'{value[0]}' ({value[1]}), but the row{earlier} maps it "
+                    f"to '{first[0]}' ({first[1]})")
+            origins.setdefault(key, origin)
+        return cls(entries, schema, origins)
 
     @classmethod
     def load_tsv(cls, path, schema: Schema | None = None) -> "Gazetteer":
         """TSV rows: surface_form <TAB> entity_id <TAB> class."""
-        pairs = []
+        rows = []
         with open(path, encoding="utf-8") as fh:
             for lineno, raw in enumerate(fh, start=1):
                 line = raw.rstrip("\n")
@@ -88,9 +114,9 @@ class Gazetteer:
                 if len(fields) != 3:
                     raise CorpusFormatError(
                         f"{path}:{lineno}: expected 3 tab-separated fields")
-                pairs.append((fields[0], _field_token(fields[1], path, lineno),
-                              _field_token(fields[2], path, lineno)))
-        return cls.from_pairs(pairs, schema)
+                rows.append((fields[0], _field_token(fields[1], path, lineno),
+                             _field_token(fields[2], path, lineno), f"{path}:{lineno}"))
+        return cls._from_rows(rows, schema)
 
     def match(self, tokens: Sequence[str]) -> list[tuple[int, int, str]]:
         """Longest-leftmost non-overlapping spans as (start, end, entity)."""

@@ -236,6 +236,8 @@ class Graph:
         self._by_sp: dict[tuple[str, str], set[Triple]] = {}
         self._same_root: dict[str, str] = {}          # merged entity -> its root
         self._same_members: dict[str, list[str]] = {}  # root -> entities merged into it
+        # raw node -> number of stored triples that make it an entity (see entities())
+        self._refs: dict[str, int] = {}
 
     def __len__(self) -> int:
         return len(self._triples)
@@ -251,6 +253,10 @@ class Graph:
     def canonical(self, entity: str) -> str:
         """Lexicographically smallest member of the entity's sameAs class."""
         return self._same_root.get(entity, entity)
+
+    def resolve(self, token: str) -> str:
+        """``canonical(normalize(token))``; a stored entity node skips normalize."""
+        return self.canonical(token if token in self._refs else normalize(token))
 
     def merged(self) -> dict[str, str]:
         """Every entity sameAs-merged into another -> its canonical representative."""
@@ -290,14 +296,20 @@ class Graph:
         if t in self._triples:
             return t
         self._triples.add(t)
-        cs = self.canonical(t.subject)
+        s, p, o = t.subject, t.predicate, t.object
+        entity_object = isinstance(o, str)
+        cs = self.canonical(s)
         self._by_s.setdefault(cs, set()).add(t)
-        self._by_p.setdefault(t.predicate, set()).add(t)
-        okey = t.object if isinstance(t.object, Literal) else self.canonical(t.object)
-        self._by_o.setdefault(okey, set()).add(t)
-        self._by_sp.setdefault((cs, t.predicate), set()).add(t)
-        if t.predicate == "sameAs" and isinstance(t.object, str):
-            self._union(t.subject, t.object)
+        self._by_p.setdefault(p, set()).add(t)
+        self._by_o.setdefault(self.canonical(o) if entity_object else o, set()).add(t)
+        self._by_sp.setdefault((cs, p), set()).add(t)
+        if p not in ("subClassOf", "hasVector"):
+            refs = self._refs
+            refs[s] = refs.get(s, 0) + 1
+            if entity_object and p != "type":
+                refs[o] = refs.get(o, 0) + 1
+        if p == "sameAs" and entity_object:
+            self._union(s, o)
         return t
 
     def retract_triple(self, subject: str, predicate: str, obj: Term) -> bool:
@@ -309,15 +321,30 @@ class Graph:
         if t not in self._triples:
             return False
         self._triples.discard(t)
-        cs = self.canonical(t.subject)
-        okey = t.object if isinstance(t.object, Literal) else self.canonical(t.object)
-        for index, key in ((self._by_s, cs), (self._by_p, t.predicate),
-                           (self._by_o, okey), (self._by_sp, (cs, t.predicate))):
+        s, p, o = t.subject, t.predicate, t.object
+        entity_object = isinstance(o, str)
+        cs = self.canonical(s)
+        okey = self.canonical(o) if entity_object else o
+        for index, key in ((self._by_s, cs), (self._by_p, p),
+                           (self._by_o, okey), (self._by_sp, (cs, p))):
             bucket = index.get(key)
             if bucket is not None:
                 bucket.discard(t)
                 if not bucket:
                     del index[key]
+        if p not in ("subClassOf", "hasVector"):
+            refs = self._refs
+            count = refs[s]
+            if count == 1:
+                del refs[s]
+            else:
+                refs[s] = count - 1
+            if entity_object and p != "type":
+                count = refs[o]
+                if count == 1:
+                    del refs[o]
+                else:
+                    refs[o] = count - 1
         return True
 
     def merge_same_as(self, a: str, b: str) -> None:
@@ -357,10 +384,10 @@ class Graph:
         merged entities are fully interchangeable.  Unknown ids simply
         match nothing.
         """
-        s = self.canonical(normalize(subject)) if subject is not None else None
+        s = self.resolve(subject) if subject is not None else None
         o: Term | None = obj
         if isinstance(obj, str):
-            o = self.canonical(normalize(obj))
+            o = self.resolve(obj)
         candidates = self._candidates(s, predicate, o)
         out = set()
         for t in candidates:
@@ -415,24 +442,23 @@ class Graph:
 
         Class names and literals are not entities; subjects/objects of
         subClassOf triples and objects of type triples are classes.  A
-        hasVector link describes an entity but does not make one.
+        hasVector link describes an entity but does not make one.  Writes
+        keep a reference count per node under this rule, so this is a copy
+        of its keys, not a scan of the triples.
         """
-        out: set[str] = set()
-        for t in self._triples:
-            if t.predicate in ("subClassOf", "hasVector"):
-                continue
-            out.add(t.subject)
-            if isinstance(t.object, str) and t.predicate != "type":
-                out.add(t.object)
-        return out - self.schema.classes
+        return self._refs.keys() - self.schema.classes
 
     def neighbor_pairs(self, entity: str) -> set[tuple[str, str]]:
         """Canonicalized (predicate, neighbor) pairs in both directions.
 
-        sameAs and hasVector edges and literal-valued objects are excluded;
-        this is the edge set graph_similarity compares.
+        sameAs and hasVector edges and literal-valued objects are excluded,
+        except that an entity-valued ``<n> <hasVector> <e>`` gives ``e`` the
+        pair (hasVector, n); this is the edge set graph_similarity compares.
         """
-        c = self.canonical(normalize(entity))
+        return self._pairs(self.resolve(entity))
+
+    def _pairs(self, c: str) -> set[tuple[str, str]]:
+        """neighbor_pairs of a canonical entity."""
         pairs: set[tuple[str, str]] = set()
         for t in self._by_s.get(c, ()):
             if t.predicate in ("sameAs", "hasVector") or isinstance(t.object, Literal):
@@ -450,13 +476,41 @@ class Graph:
         Symmetric; 1.0 for the same (or sameAs-merged) entity, 0.0 when
         either side is isolated.
         """
-        ca, cb = self.canonical(normalize(a)), self.canonical(normalize(b))
+        ca, cb = self.resolve(a), self.resolve(b)
         if ca == cb:
             return 1.0
-        pa, pb = self.neighbor_pairs(ca), self.neighbor_pairs(cb)
+        pa, pb = self._pairs(ca), self._pairs(cb)
         if not pa or not pb:
             return 0.0
         return len(pa & pb) / len(pa | pb)
+
+    def similarities(self, entity: str) -> dict[str, float]:
+        """graph_similarity to the entity of every node it shares a pair with.
+
+        Keyed by canonical representative, the entity's own at 1.0.  Every
+        node missing from the result scores 0.0: it shares no (predicate,
+        neighbor) pair with the entity.  Only candidates are scored, and
+        the indexes find them: a node holds (p, n) through a triple
+        ``node p n`` in the by-object index of n, or through ``n p node`` in
+        the by-(subject, predicate) index of (n, p).
+        """
+        c = self.resolve(entity)
+        pq = self._pairs(c)
+        candidates: set[str] = set()
+        for p, n in pq:
+            if p not in ("sameAs", "hasVector"):
+                for t in self._by_o.get(n, ()):
+                    if t.predicate == p:
+                        candidates.add(self.canonical(t.subject))
+            for t in self._by_sp.get((n, p), ()):
+                if not isinstance(t.object, Literal):
+                    candidates.add(self.canonical(t.object))
+        candidates.discard(c)
+        scores = {c: 1.0}
+        for other in candidates:
+            po = self._pairs(other)
+            scores[other] = len(pq & po) / len(pq | po)
+        return scores
 
     # --- persistence ----------------------------------------------------
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from typing import AbstractSet, Iterator, Mapping, Sequence, Union
 
 from ._scan import Cursor
@@ -170,7 +170,9 @@ RULE alert(left, right) ON ctx WHEN nonempty(intersect(left, right)) THEN ALERT
 """
 
 
+@cache
 def builtin_rules() -> RuleSet:
+    """The parsed BUILTIN_RULES_TEXT, parsed once per process (a RuleSet has no mutators)."""
     return parse_rules(BUILTIN_RULES_TEXT)
 
 

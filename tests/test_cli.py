@@ -74,6 +74,26 @@ class TestStaging:
         assert run(workspace, "ingest") == 1
         assert f"{name}:{lineno}: empty token" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("row, message", [
+        ("!!!\tfoo\tproduct", "empty gazetteer surface form"),
+        ("foo\tfoo\treptile", "gazetteer entry 'foo' maps to undeclared class 'reptile'"),
+        ("dosx\tdenial_of_service\tproduct", "entity 'denial_of_service' mapped to two classes"),
+    ])
+    def test_gazetteer_entry_errors_are_located(self, workspace, capsys, row, message):
+        lineno = append_row(workspace / "gazetteer.tsv", row)
+        assert run(workspace, "ingest") == 1
+        assert f"gazetteer.tsv:{lineno}: {message}" in capsys.readouterr().err
+
+    def test_conflicting_duplicate_surface_names_both_lines(self, workspace, capsys):
+        path = workspace / "gazetteer.tsv"
+        first = append_row(path, "foo\tfoo\tproduct")
+        append_row(path, "Foo\tfoo\tproduct")   # an identical entry is accepted
+        second = append_row(path, "foo\tbar\tproduct")
+        assert run(workspace, "ingest") == 1
+        err = capsys.readouterr().err
+        assert f"gazetteer.tsv:{second}: surface form 'foo'" in err
+        assert f"gazetteer.tsv:{first} maps it to 'foo'" in err
+
 
 class TestPipeline:
     def test_full_pipeline_and_search(self, workspace, capsys):

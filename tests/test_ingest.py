@@ -233,6 +233,13 @@ class TestFileFormats:
             Gazetteer.from_pairs(
                 [("x", "shared", "product"), ("y", "shared", "attack")], schema)
 
+    def test_gazetteer_repeated_surface_form(self, schema):
+        rows = [("web app", "web_app", "product"), ("Web-App", "web_app", "product")]
+        assert Gazetteer.from_pairs(rows, schema).entries == {
+            ("web", "app"): ("web_app", "product")}
+        with pytest.raises(CorpusFormatError, match="maps to 'other'"):
+            Gazetteer.from_pairs(rows + [("web app", "other", "product")], schema)
+
     def test_templates_validate_against_schema(self, tmp_path, schema):
         path = tmp_path / "templates.tsv"
         path.write_text("product\tnoSuchRelation\tvulnerability\n")

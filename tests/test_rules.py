@@ -71,6 +71,11 @@ class TestParsing:
         merged = override.with_defaults(builtin_rules())
         assert len(merged["alert"].params) == 1
 
+    def test_builtin_rules_parsed_once(self):
+        assert builtin_rules() is builtin_rules()
+        parse_rules("RULE alert(x) WHEN size(x) >= 9 THEN ALERT").with_defaults(builtin_rules())
+        assert builtin_rules()["alert"].params == ("left", "right")
+
     def test_size_comparisons_parse(self):
         for op in (">=", "<=", "==", "!=", ">", "<"):
             rules = parse_rules(f"RULE r(x) WHEN size(x) {op} 2 THEN ALERT")
