@@ -64,6 +64,14 @@ def load_manifest(path, overrides: dict | None = None) -> Manifest:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise VkgError(f"manifest {path}: invalid JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise VkgError(f"manifest {path}: expected a JSON object, got {type(data).__name__}")
+    for key in _PATH_FIELDS:
+        if not isinstance(data.get(key, ""), str):
+            raise VkgError(f"manifest {path}: '{key}' must be a path string, got {data[key]!r}")
+    if not isinstance(data.get("training", {}), dict):
+        raise VkgError(f"manifest {path}: 'training' must be a JSON object, "
+                       f"got {data['training']!r}")
     base = path.parent
     paths = {
         key: (base / data[key]).resolve()

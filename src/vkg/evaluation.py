@@ -49,18 +49,24 @@ class SimilarityGroup:
 
 
 def load_groups(path) -> list[SimilarityGroup]:
-    """JSON array of {name, kind, members} objects."""
+    """JSON array of {name, kind, members} objects; members is a list of strings."""
     with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise CorpusFormatError(f"groups file {path}: invalid JSON: {exc}") from None
     if not isinstance(data, list):
-        raise CorpusFormatError("groups file must hold a JSON array")
+        raise CorpusFormatError(f"groups file {path} must hold a JSON array")
     groups = []
     for obj in data:
         try:
-            members = tuple(normalize(m) for m in obj["members"])
-            groups.append(SimilarityGroup(obj["name"], obj["kind"], members))
+            members = obj["members"]
+            if not isinstance(members, list) or not all(isinstance(m, str) for m in members):
+                raise TypeError(f"members must be a list of strings, got {members!r}")
+            groups.append(SimilarityGroup(obj["name"], obj["kind"],
+                                          tuple(normalize(m) for m in members)))
         except (KeyError, TypeError) as exc:
-            raise CorpusFormatError(f"malformed group entry: {exc}") from None
+            raise CorpusFormatError(f"groups file {path}: malformed group entry: {exc}") from None
     return groups
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Iterator, Union
 
 from .errors import (
@@ -91,10 +92,9 @@ class Schema:
         for c in (child, parent):
             if c not in self.classes:
                 raise SchemaError(f"subclass edge references undeclared class '{c}'")
-        edges = self.subclass_edges | {(child, parent)}
-        if _has_cycle(edges):
+        if parent in self.subclasses(child):
             raise SchemaError(f"subclass edge {child} -> {parent} creates a cycle")
-        self.subclass_edges = edges
+        self.subclass_edges.add((child, parent))
 
     def declare_relation(self, name: str, domain: str | None = None,
                          range_: str | None = None) -> None:
@@ -200,53 +200,35 @@ class Schema:
             return cls.parse(fh.read())
 
 
-def _has_cycle(edges: set[tuple[str, str]]) -> bool:
-    parents: dict[str, set[str]] = {}
-    for child, parent in edges:
-        parents.setdefault(child, set()).add(parent)
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color: dict[str, int] = {}
-
-    def visit(node: str) -> bool:
-        color[node] = GRAY
-        for nxt in parents.get(node, ()):
-            state = color.get(nxt, WHITE)
-            if state == GRAY or (state == WHITE and visit(nxt)):
-                return True
-        color[node] = BLACK
-        return False
-
-    return any(color.get(n, WHITE) == WHITE and visit(n) for n in parents)
-
-
 class Graph:
-    """Triple set with by-subject/predicate/object/(subject,predicate) indexes.
+    """Triples kept in three indexes, each holding every triple once.
 
-    Entity positions are rewritten to the canonical (lexicographically
-    smallest) member of their sameAs equivalence class at query time; the
-    raw asserted triples are what save/load round-trips.
+    ``_by_s`` maps a canonical subject to its predicates and each of those
+    to its triples; ``_by_p`` maps a predicate to its triples and is the
+    triple set itself; ``_by_o`` maps a canonical object (or a literal) to
+    its triples.  Entity positions are rewritten to the canonical
+    (lexicographically smallest) member of their sameAs equivalence class
+    at query time; the raw asserted triples are what save/load round-trips.
     """
 
     def __init__(self, schema: Schema | None = None):
         self.schema = schema if schema is not None else Schema()
-        self._triples: set[Triple] = set()
-        self._by_s: dict[str, set[Triple]] = {}
+        self._by_s: dict[str, dict[str, set[Triple]]] = {}
         self._by_p: dict[str, set[Triple]] = {}
         self._by_o: dict[Term, set[Triple]] = {}
-        self._by_sp: dict[tuple[str, str], set[Triple]] = {}
         self._same_root: dict[str, str] = {}          # merged entity -> its root
         self._same_members: dict[str, list[str]] = {}  # root -> entities merged into it
         # raw node -> number of stored triples that make it an entity (see entities())
         self._refs: dict[str, int] = {}
 
     def __len__(self) -> int:
-        return len(self._triples)
+        return sum(map(len, self._by_p.values()))
 
     def __iter__(self) -> Iterator[Triple]:
-        return iter(sorted(self._triples, key=Triple.sort_key))
+        return iter(sorted(chain.from_iterable(self._by_p.values()), key=Triple.sort_key))
 
     def __contains__(self, t: Triple) -> bool:
-        return t in self._triples
+        return t in self._by_p.get(t.predicate, ())
 
     # --- sameAs equivalence ---------------------------------------------
 
@@ -273,13 +255,11 @@ class Graph:
         for entity in moved:
             self._same_root[entity] = winner
         self._same_members.setdefault(winner, []).extend(moved)
-        # fold the loser's index buckets into the winner's; its (s, p) keys
-        # are the predicates of its by-subject bucket
-        bucket = self._by_s.pop(loser, None)
-        if bucket is not None:
-            for p in {t.predicate for t in bucket}:
-                self._by_sp.setdefault((winner, p), set()).update(self._by_sp.pop((loser, p)))
-            self._by_s.setdefault(winner, set()).update(bucket)
+        # fold the loser's index buckets into the winner's
+        if loser in self._by_s:
+            into = self._by_s.setdefault(winner, {})
+            for p, bucket in self._by_s.pop(loser).items():
+                into.setdefault(p, set()).update(bucket)
         if loser in self._by_o:
             self._by_o.setdefault(winner, set()).update(self._by_o.pop(loser))
 
@@ -293,16 +273,14 @@ class Graph:
         triple extends the subclass hierarchy seen by instances_of.
         """
         t = self._check(subject, predicate, obj)
-        if t in self._triples:
-            return t
-        self._triples.add(t)
         s, p, o = t.subject, t.predicate, t.object
+        triples = self._by_p.setdefault(p, set())
+        if t in triples:
+            return t
+        triples.add(t)
         entity_object = isinstance(o, str)
-        cs = self.canonical(s)
-        self._by_s.setdefault(cs, set()).add(t)
-        self._by_p.setdefault(p, set()).add(t)
+        self._by_s.setdefault(self.canonical(s), {}).setdefault(p, set()).add(t)
         self._by_o.setdefault(self.canonical(o) if entity_object else o, set()).add(t)
-        self._by_sp.setdefault((cs, p), set()).add(t)
         if p not in ("subClassOf", "hasVector"):
             refs = self._refs
             refs[s] = refs.get(s, 0) + 1
@@ -318,20 +296,20 @@ class Graph:
         sameAs merges are not undone (equivalence closure is monotone).
         """
         t = self._check(subject, predicate, obj)
-        if t not in self._triples:
+        if t not in self:
             return False
-        self._triples.discard(t)
         s, p, o = t.subject, t.predicate, t.object
         entity_object = isinstance(o, str)
         cs = self.canonical(s)
-        okey = self.canonical(o) if entity_object else o
-        for index, key in ((self._by_s, cs), (self._by_p, p),
-                           (self._by_o, okey), (self._by_sp, (cs, p))):
-            bucket = index.get(key)
-            if bucket is not None:
-                bucket.discard(t)
-                if not bucket:
-                    del index[key]
+        predicates = self._by_s[cs]
+        for index, key in ((predicates, p), (self._by_p, p),
+                           (self._by_o, self.canonical(o) if entity_object else o)):
+            bucket = index[key]
+            bucket.discard(t)
+            if not bucket:
+                del index[key]
+        if not predicates:
+            del self._by_s[cs]
         if p not in ("subClassOf", "hasVector"):
             refs = self._refs
             count = refs[s]
@@ -403,17 +381,16 @@ class Graph:
 
     def _candidates(self, s, p, o) -> Iterable[Triple]:
         pools = []
-        if s is not None and p is not None:
-            pools.append(self._by_sp.get((s, p), set()))
-        else:
-            if s is not None:
-                pools.append(self._by_s.get(s, set()))
-            if p is not None:
-                pools.append(self._by_p.get(p, set()))
+        if s is not None:
+            predicates = self._by_s.get(s, {})
+            pools.append(predicates.get(p, ()) if p is not None
+                         else list(chain.from_iterable(predicates.values())))
+        elif p is not None:
+            pools.append(self._by_p.get(p, ()))
         if o is not None:
-            pools.append(self._by_o.get(o, set()))
+            pools.append(self._by_o.get(o, ()))
         if not pools:
-            return self._triples
+            return chain.from_iterable(self._by_p.values())
         return min(pools, key=len)
 
     def _canonical_triple(self, t: Triple) -> Triple:
@@ -460,14 +437,14 @@ class Graph:
     def _pairs(self, c: str) -> set[tuple[str, str]]:
         """neighbor_pairs of a canonical entity."""
         pairs: set[tuple[str, str]] = set()
-        for t in self._by_s.get(c, ()):
-            if t.predicate in ("sameAs", "hasVector") or isinstance(t.object, Literal):
-                continue
-            pairs.add((t.predicate, self.canonical(t.object)))
+        for p, bucket in self._by_s.get(c, {}).items():
+            if p not in ("sameAs", "hasVector"):
+                for t in bucket:
+                    if not isinstance(t.object, Literal):
+                        pairs.add((p, self.canonical(t.object)))
         for t in self._by_o.get(c, ()):
-            if t.predicate == "sameAs":
-                continue
-            pairs.add((t.predicate, self.canonical(t.subject)))
+            if t.predicate != "sameAs":
+                pairs.add((t.predicate, self.canonical(t.subject)))
         return pairs
 
     def graph_similarity(self, a: str, b: str) -> float:
@@ -492,7 +469,7 @@ class Graph:
         neighbor) pair with the entity.  Only candidates are scored, and
         the indexes find them: a node holds (p, n) through a triple
         ``node p n`` in the by-object index of n, or through ``n p node`` in
-        the by-(subject, predicate) index of (n, p).
+        the by-subject index of n under predicate p.
         """
         c = self.resolve(entity)
         pq = self._pairs(c)
@@ -502,7 +479,7 @@ class Graph:
                 for t in self._by_o.get(n, ()):
                     if t.predicate == p:
                         candidates.add(self.canonical(t.subject))
-            for t in self._by_sp.get((n, p), ()):
+            for t in self._by_s.get(n, {}).get(p, ()):
                 if not isinstance(t.object, Literal):
                     candidates.add(self.canonical(t.object))
         candidates.discard(c)
@@ -517,7 +494,7 @@ class Graph:
     def snapshot(self) -> "Graph":
         """Independent copy safe to hand to a reader thread."""
         g = Graph(self.schema)
-        for t in sorted(self._triples, key=Triple.sort_key):
+        for t in self:
             g.assert_triple(t.subject, t.predicate, t.object)
         return g
 
@@ -528,7 +505,7 @@ class Graph:
     def to_text(self) -> str:
         """Canonical line format: ``<subject> <predicate> <object> .`` sorted."""
         lines = []
-        for t in sorted(self._triples, key=Triple.sort_key):
+        for t in self:
             if isinstance(t.object, Literal):
                 escaped = t.object.value.replace("\\", "\\\\").replace('"', '\\"')
                 obj = f'"{escaped}"'

@@ -59,6 +59,26 @@ class TestStaging:
         assert run(workspace, "ingest") == 2
         assert "internal error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda m: [], "expected a JSON object, got list"),
+        (lambda m: {**m, "training": 5}, "'training' must be a JSON object, got 5"),
+        (lambda m: {**m, "corpus": 5}, "'corpus' must be a path string, got 5"),
+    ], ids=["top-level-list", "training-int", "corpus-int"])
+    def test_malformed_manifest_exits_1(self, workspace, capsys, edit, message):
+        path = workspace / "manifest.json"
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+        assert run(workspace, "ingest") == 1
+        assert f"manifest {path}: {message}" in capsys.readouterr().err
+
+    def test_malformed_groups_file_exits_1(self, workspace, capsys):
+        for stage in ("ingest", "train", "link"):
+            assert run(workspace, stage) == 0
+        for text in ("{not json", '[{"name": "g", "kind": "attack", "members": [5, "x"]}]'):
+            (workspace / "groups.json").write_text(text)
+            capsys.readouterr()
+            assert run(workspace, "eval") == 1
+            assert f"groups file {workspace / 'groups.json'}: " in capsys.readouterr().err
+
     def test_empty_gazetteer_entity_exits_1(self, workspace, capsys):
         lineno = append_row(workspace / "gazetteer.tsv", "foo bar\t\tproduct")
         assert run(workspace, "ingest") == 1

@@ -173,6 +173,21 @@ class TestGroupsFile:
         with pytest.raises(CorpusFormatError):
             load_groups(path)
 
+    @pytest.mark.parametrize("text, message", [
+        ("{not json", "invalid JSON"),
+        ('[{"name": "g", "kind": "attack", "members": [5, "x"]}]',
+         "members must be a list of strings, got [5, 'x']"),
+        ('[{"name": "g", "kind": "attack", "members": "xy"}]',
+         "members must be a list of strings, got 'xy'"),
+    ], ids=["not-json", "int-member", "string-members"])
+    def test_malformed_file_names_itself(self, tmp_path, text, message):
+        path = tmp_path / "groups.json"
+        path.write_text(text)
+        with pytest.raises(CorpusFormatError) as err:
+            load_groups(path)
+        assert f"groups file {path}" in str(err.value)
+        assert message in str(err.value)
+
 
 class TestSweep:
     def test_rows_cover_grid(self, bundled_workspace):

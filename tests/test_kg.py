@@ -444,13 +444,34 @@ class TestSchemaParsing:
         assert schema.relations["relatedTo"] == (None, None)
         assert schema.resolve_alias("VULNERABILITY") == "hasVulnerability"
 
-    def test_cycle_rejected(self):
+    @pytest.mark.parametrize("edges, cyclic", [
+        ([("a", "a")], True),
+        ([("a", "b"), ("b", "a")], True),
+        ([("a", "b"), ("b", "c"), ("c", "a")], True),
+        ([("b", "a"), ("c", "a"), ("d", "b"), ("d", "c")], False),
+    ], ids=["self-loop", "2-cycle", "3-cycle", "diamond"])
+    def test_cycle_rejected(self, edges, cyclic):
         schema = Schema()
-        schema.declare_class("a")
-        schema.declare_class("b")
-        schema.declare_subclass("a", "b")
-        with pytest.raises(SchemaError):
-            schema.declare_subclass("b", "a")
+        for name in "abcd":
+            schema.declare_class(name)
+        *earlier, (child, parent) = edges
+        for edge in earlier:
+            schema.declare_subclass(*edge)
+        if cyclic:
+            with pytest.raises(SchemaError,
+                               match=f"^subclass edge {child} -> {parent} creates a cycle$"):
+                schema.declare_subclass(child, parent)
+            assert schema.subclass_edges == set(earlier)
+        else:
+            schema.declare_subclass(child, parent)
+            assert schema.subclasses("a") == {"a", "b", "c", "d"}
+
+    def test_cycle_in_parsed_schema_keeps_its_line(self):
+        text = "[classes]\na\nb\n[subclass]\na b\nb a\n"
+        with pytest.raises(GraphFormatError,
+                           match="^line 6: subclass edge b -> a creates a cycle$") as err:
+            Schema.parse(text)
+        assert err.value.line == 6
 
     def test_alias_to_unknown_relation_rejected(self):
         schema = Schema()
