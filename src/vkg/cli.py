@@ -14,10 +14,11 @@ import json
 import logging
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import datasets, embedding, evaluation, ingest, linking, query as query_mod
+from ._atomic import atomic_write
 from .embedding import EmbeddingModel, TrainingConfig
 from .errors import MissingArtifactError, VkgError
 from .kg import Graph, Schema
@@ -34,16 +35,24 @@ _PATH_FIELDS = ("corpus", "schema", "gazetteer", "templates", "stopwords",
 
 @dataclass
 class Manifest:
-    """Resolved workspace paths plus the training configuration."""
+    """Workspace paths plus the training configuration.
 
-    paths: dict[str, Path]
+    ``entries`` holds each path as the manifest writes it; :meth:`path`
+    resolves one against the manifest's directory when a stage first asks
+    for it.
+    """
+
+    base: Path
+    entries: dict[str, str]
     training: TrainingConfig
+    _resolved: dict[str, Path] = field(default_factory=dict, repr=False)
 
     def path(self, key: str) -> Path:
-        try:
-            return self.paths[key]
-        except KeyError:
-            raise MissingArtifactError(f"manifest does not define '{key}'") from None
+        if key not in self._resolved:
+            if key not in self.entries:
+                raise MissingArtifactError(f"manifest does not define '{key}'")
+            self._resolved[key] = (self.base / self.entries[key]).resolve()
+        return self._resolved[key]
 
     def input_path(self, key: str, stage: str) -> Path:
         """Path that must already exist for the stage to run."""
@@ -72,11 +81,7 @@ def load_manifest(path, overrides: dict | None = None) -> Manifest:
     if not isinstance(data.get("training", {}), dict):
         raise VkgError(f"manifest {path}: 'training' must be a JSON object, "
                        f"got {data['training']!r}")
-    base = path.parent
-    paths = {
-        key: (base / data[key]).resolve()
-        for key in _PATH_FIELDS if key in data
-    }
+    entries = {key: data[key] for key in _PATH_FIELDS if key in data}
     training_data = dict(data.get("training", {}))
     for key, value in (overrides or {}).items():
         if value is not None and key in _TRAINING_FIELDS:
@@ -91,7 +96,7 @@ def load_manifest(path, overrides: dict | None = None) -> Manifest:
         training = TrainingConfig(**training_data)
     except (TypeError, ValueError) as exc:
         raise VkgError(f"invalid training config: {exc}") from None
-    return Manifest(paths=paths, training=training)
+    return Manifest(base=path.parent, entries=entries, training=training)
 
 
 def _ensure_parent(path: Path) -> None:
@@ -114,9 +119,10 @@ def _load_model(manifest: Manifest, stage: str) -> EmbeddingModel:
 
 
 def _load_rules(manifest: Manifest) -> RuleSet:
-    rules_path = manifest.paths.get("rules")
-    if rules_path is not None and rules_path.exists():
-        return load_rules(rules_path).with_defaults(builtin_rules())
+    if "rules" in manifest.entries:
+        rules_path = manifest.path("rules")
+        if rules_path.exists():
+            return load_rules(rules_path).with_defaults(builtin_rules())
     return builtin_rules()
 
 
@@ -137,7 +143,7 @@ def cmd_ingest(manifest: Manifest, args: argparse.Namespace) -> int:
     graph.save(graph_path)
     tokens_path = manifest.path("tokens_file")
     _ensure_parent(tokens_path)
-    with open(tokens_path, "w", encoding="utf-8") as fh:
+    with atomic_write(tokens_path) as fh:
         for sentence in sentences:
             fh.write(" ".join(sentence) + "\n")
     print(f"documents {len(docs)}")
@@ -171,7 +177,8 @@ def cmd_link(manifest: Manifest, args: argparse.Namespace) -> int:
     graph.save(manifest.path("graph_file"))
     audit_path = manifest.path("link_audit")
     _ensure_parent(audit_path)
-    audit_path.write_text(linking.audit_report(table), encoding="utf-8")
+    with atomic_write(audit_path) as fh:
+        fh.write(linking.audit_report(table))
     print(f"linked {len(table.links)}")
     print(f"unlinked {len(table.unlinked)}")
     print(f"coverage {table.coverage:.6f}")
@@ -229,7 +236,7 @@ def cmd_eval(manifest: Manifest, args: argparse.Namespace) -> int:
     }
     report_path = manifest.path("eval_report")
     _ensure_parent(report_path)
-    with open(report_path, "w", encoding="utf-8") as fh:
+    with atomic_write(report_path) as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
     sys.stdout.write(evaluation.render_report(report))

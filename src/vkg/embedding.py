@@ -20,6 +20,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from ._atomic import atomic_write
 from .errors import (
     DimensionMismatchError,
     DuplicateTokenError,
@@ -157,8 +158,11 @@ class EmbeddingModel:
     # --- persistence ----------------------------------------------------
 
     def save_text(self, path) -> None:
-        """word2vec text format: header ``<vocab> <dim>``, then one row per token."""
-        with open(path, "w", encoding="utf-8") as fh:
+        """word2vec text format: header ``<vocab> <dim>``, then one row per token.
+
+        The previous file is replaced atomically (see :mod:`vkg._atomic`).
+        """
+        with atomic_write(path) as fh:
             fh.write(f"{len(self.tokens)} {self.dimension}\n")
             for i, token in enumerate(self.tokens):
                 row = " ".join(f"{x:.6f}" for x in self.vectors[i])
@@ -166,6 +170,14 @@ class EmbeddingModel:
 
     @classmethod
     def load_text(cls, path) -> "EmbeddingModel":
+        """Read the :meth:`save_text` format.
+
+        All rows are parsed by one ``np.loadtxt`` call.  A file it does not
+        take whole (a row count other than the header's, a duplicate token,
+        a wrong shape, a numeral numpy rejects) goes through the row-by-row
+        parse, which raises the first error in the file or accepts every
+        numeral ``float()`` takes.
+        """
         with open(path, encoding="utf-8") as fh:
             header = fh.readline().split()
             if len(header) != 2:
@@ -177,32 +189,65 @@ class EmbeddingModel:
                     f"non-integer header fields {header!r}") from None
             if vocab_size < 0 or dimension < 1:
                 raise MalformedHeaderError(f"invalid header values {header!r}")
-            tokens: list[str] = []
-            seen: set[str] = set()
-            vectors = np.empty((vocab_size, dimension))
-            for i, line in enumerate(fh):
-                if i >= vocab_size:
-                    raise MalformedHeaderError(
-                        f"more rows than the declared vocabulary size {vocab_size}")
-                fields = line.split()
-                if len(fields) != dimension + 1:
-                    raise DimensionMismatchError(
-                        f"row {i + 2}: expected {dimension} components, "
-                        f"got {len(fields) - 1}")
-                token = fields[0]
-                if token in seen:
-                    raise DuplicateTokenError(f"duplicate token '{token}'")
-                seen.add(token)
-                tokens.append(token)
-                try:
-                    vectors[i] = [float(x) for x in fields[1:]]
-                except ValueError:
-                    raise DimensionMismatchError(
-                        f"row {i + 2}: non-numeric component") from None
-            if len(tokens) != vocab_size:
-                raise MalformedHeaderError(
-                    f"header declares {vocab_size} rows, file has {len(tokens)}")
-        return cls(tokens, vectors)
+            # rows split as the file object splits them: str.splitlines would
+            # also break on \x0b, \x0c and \x1c-\x1e
+            lines = list(fh)
+        parsed = _bulk_rows(lines, vocab_size, dimension)
+        if parsed is None:
+            parsed = _row_by_row(lines, vocab_size, dimension)
+        return cls(*parsed)
+
+
+def _bulk_rows(lines: list[str], vocab_size: int,
+               dimension: int) -> tuple[list[str], np.ndarray] | None:
+    """Tokens and vectors of a well-formed body in one numpy parse; None otherwise."""
+    if not lines or len(lines) != vocab_size:
+        return None
+    split = [line.split(None, 1) for line in lines]
+    if any(len(fields) != 2 for fields in split):
+        return None
+    tokens = [fields[0] for fields in split]
+    if len(set(tokens)) != len(tokens):
+        return None
+    try:
+        vectors = np.loadtxt([fields[1] for fields in split], dtype=np.float64,
+                             comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if vectors.shape != (vocab_size, dimension):
+        return None
+    return tokens, vectors
+
+
+def _row_by_row(lines: list[str], vocab_size: int,
+                dimension: int) -> tuple[list[str], np.ndarray]:
+    """Tokens and vectors parsed one row and one ``float()`` at a time; raises the first error."""
+    tokens: list[str] = []
+    seen: set[str] = set()
+    vectors = np.empty((vocab_size, dimension))
+    for i, line in enumerate(lines):
+        if i >= vocab_size:
+            raise MalformedHeaderError(
+                f"more rows than the declared vocabulary size {vocab_size}")
+        fields = line.split()
+        if len(fields) != dimension + 1:
+            raise DimensionMismatchError(
+                f"row {i + 2}: expected {dimension} components, "
+                f"got {len(fields) - 1}")
+        token = fields[0]
+        if token in seen:
+            raise DuplicateTokenError(f"duplicate token '{token}'")
+        seen.add(token)
+        tokens.append(token)
+        try:
+            vectors[i] = [float(x) for x in fields[1:]]
+        except ValueError:
+            raise DimensionMismatchError(
+                f"row {i + 2}: non-numeric component") from None
+    if len(tokens) != vocab_size:
+        raise MalformedHeaderError(
+            f"header declares {vocab_size} rows, file has {len(tokens)}")
+    return tokens, vectors
 
 
 # --- skip-gram with negative sampling ----------------------------------------

@@ -20,7 +20,8 @@ from typing import Sequence
 
 from . import embedding
 from .embedding import EmbeddingModel, TrainingConfig
-from .errors import CorpusFormatError, EmptyRelevantSetError, EmptyVocabularyError
+from .errors import (CorpusFormatError, EmptyRelevantSetError, EmptyVocabularyError,
+                     VkgError)
 from .kg import Graph, normalize
 from .linking import LinkTable
 from .query import vkg_search
@@ -67,6 +68,8 @@ def load_groups(path) -> list[SimilarityGroup]:
                                           tuple(normalize(m) for m in members)))
         except (KeyError, TypeError) as exc:
             raise CorpusFormatError(f"groups file {path}: malformed group entry: {exc}") from None
+        except VkgError as exc:
+            raise CorpusFormatError(f"groups file {path}: {exc}") from None
     return groups
 
 

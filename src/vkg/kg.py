@@ -15,10 +15,10 @@ the original keeps mutating.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Iterator, Union
+from typing import Callable, Iterable, Iterator, NamedTuple, Union
 
+from ._atomic import atomic_write
 from .errors import (
     GraphFormatError,
     InvalidTokenError,
@@ -44,12 +44,35 @@ def normalize(token: str) -> str:
     return norm
 
 
-@dataclass(frozen=True)
-class Literal:
+_BAD_CHARS = frozenset('<>"')
+
+
+def _node(raw: str) -> str:
+    """An entity or class token as stored: normalized, with no reserved character."""
+    token = normalize(raw)
+    if _BAD_CHARS & set(token):
+        raise InvalidTokenError(f"token {token!r} contains a reserved character")
+    return token
+
+
+class _Nodes(dict):
+    """Raw token -> :func:`_node` of it; each distinct raw token is checked once.
+
+    :meth:`Graph.parse` keeps one for the whole text, so equal tokens also
+    share one string.
+    """
+
+    def __missing__(self, raw: str) -> str:
+        token = self[raw] = _node(raw)
+        return token
+
+
+class Literal(NamedTuple):
     """Typed leaf term (version numbers, linked vocabulary tokens, ...).
 
     Literals are never entities: they carry no type, cannot be merged by
-    sameAs, and cannot be linked to vectors.
+    sameAs, and cannot be linked to vectors.  A one-field tuple, so a
+    ``Literal`` never equals the entity string with the same text.
     """
 
     value: str
@@ -58,8 +81,9 @@ class Literal:
 Term = Union[str, Literal]
 
 
-@dataclass(frozen=True)
-class Triple:
+class Triple(NamedTuple):
+    """An immutable (subject, predicate, object) tuple; equals the plain 3-tuple."""
+
     subject: str
     predicate: str
     object: Term
@@ -273,14 +297,21 @@ class Graph:
         triple extends the subclass hierarchy seen by instances_of.
         """
         t = self._check(subject, predicate, obj)
-        s, p, o = t.subject, t.predicate, t.object
+        self._insert(t)
+        return t
+
+    def _insert(self, t: Triple) -> None:
+        """Index a checked triple; a triple already stored is left as it is."""
+        s, p, o = t
         triples = self._by_p.setdefault(p, set())
-        if t in triples:
-            return t
+        size = len(triples)   # one hash for both the membership test and the add
         triples.add(t)
+        if len(triples) == size:
+            return
         entity_object = isinstance(o, str)
-        self._by_s.setdefault(self.canonical(s), {}).setdefault(p, set()).add(t)
-        self._by_o.setdefault(self.canonical(o) if entity_object else o, set()).add(t)
+        root = self._same_root
+        self._by_s.setdefault(root.get(s, s), {}).setdefault(p, set()).add(t)
+        self._by_o.setdefault(root.get(o, o) if entity_object else o, set()).add(t)
         if p not in ("subClassOf", "hasVector"):
             refs = self._refs
             refs[s] = refs.get(s, 0) + 1
@@ -288,7 +319,6 @@ class Graph:
                 refs[o] = refs.get(o, 0) + 1
         if p == "sameAs" and entity_object:
             self._union(s, o)
-        return t
 
     def retract_triple(self, subject: str, predicate: str, obj: Term) -> bool:
         """Remove one exact triple; returns whether it was present.
@@ -333,16 +363,17 @@ class Graph:
         """Validate and normalize a triple without storing it (overlay use)."""
         return self._check(subject, predicate, obj)
 
-    def _check(self, subject: str, predicate: str, obj: Term) -> Triple:
+    def _check(self, subject: str, predicate: str, obj: Term,
+               node: Callable[[str], str] = _node) -> Triple:
         if predicate not in RESERVED_RELATIONS and predicate not in self.schema.relations:
             raise UnknownRelationError(f"relation '{predicate}' not declared in schema")
-        subject = _safe_token(normalize(subject))
+        subject = node(subject)
         if isinstance(obj, Literal):
             if "".join(obj.value.splitlines()) != obj.value:
                 raise GraphFormatError(
                     f"literal {obj.value!r} contains a line break")
             return Triple(subject, predicate, obj)
-        obj = _safe_token(normalize(obj))
+        obj = node(obj)
         if predicate == "type" and obj not in self.schema.classes:
             raise UnknownClassError(f"type object '{obj}' is not a declared class")
         if predicate == "subClassOf":
@@ -492,14 +523,24 @@ class Graph:
     # --- persistence ----------------------------------------------------
 
     def snapshot(self) -> "Graph":
-        """Independent copy safe to hand to a reader thread."""
+        """Independent copy safe to hand to a reader thread.
+
+        The indexes, reference counts and sameAs classes are copied as they
+        are, so a merge whose sameAs triple was retracted survives.
+        """
         g = Graph(self.schema)
-        for t in self:
-            g.assert_triple(t.subject, t.predicate, t.object)
+        g._by_s = {s: {p: set(b) for p, b in preds.items()}
+                   for s, preds in self._by_s.items()}
+        g._by_p = {p: set(b) for p, b in self._by_p.items()}
+        g._by_o = {o: set(b) for o, b in self._by_o.items()}
+        g._refs = dict(self._refs)
+        g._same_root = dict(self._same_root)
+        g._same_members = {r: list(m) for r, m in self._same_members.items()}
         return g
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
+        """Write :meth:`to_text` to ``path``, replacing the previous file atomically."""
+        with atomic_write(path) as fh:
             fh.write(self.to_text())
 
     def to_text(self) -> str:
@@ -521,7 +562,14 @@ class Graph:
 
     @classmethod
     def parse(cls, text: str, schema: Schema) -> "Graph":
+        """Build a graph from :meth:`to_text` lines; '#' lines and blank lines are skipped.
+
+        Each triple passes the checks of :meth:`assert_triple`, but every
+        distinct raw token is normalized and screened once per parse, and
+        equal tokens share one string.
+        """
         graph = cls(schema)
+        node = _Nodes().__getitem__
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -536,20 +584,13 @@ class Graph:
             else:
                 obj = Literal(literal_obj.replace('\\"', '"').replace("\\\\", "\\"))
             try:
-                graph.assert_triple(subject, predicate, obj)
+                t = graph._check(subject, predicate, obj, node)
             except (UnknownRelationError, UnknownClassError, ValueError) as exc:
                 raise GraphFormatError(str(exc), lineno) from exc
+            graph._insert(t)
         return graph
 
 
 _TRIPLE_LINE = re.compile(
     r'^<([^<>\s]+)>\s+<([^<>\s]+)>\s+(?:<([^<>\s]+)>|"((?:[^"\\]|\\.)*)")\s+\.$'
 )
-
-_BAD_CHARS = frozenset('<>"')
-
-
-def _safe_token(token: str) -> str:
-    if _BAD_CHARS & set(token):
-        raise InvalidTokenError(f"token {token!r} contains a reserved character")
-    return token

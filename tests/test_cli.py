@@ -79,6 +79,31 @@ class TestStaging:
             assert run(workspace, "eval") == 1
             assert f"groups file {workspace / 'groups.json'}: " in capsys.readouterr().err
 
+    def test_rejected_group_names_the_groups_file(self, workspace, capsys):
+        for stage in ("ingest", "train", "link"):
+            assert run(workspace, stage) == 0
+        path = workspace / "groups.json"
+        for kind, members, message in (
+            ("attack", ["x"], "group 'g': needs >= 2 members"),
+            ("animal", ["x", "y"], "group 'g': unknown kind 'animal'"),
+            ("attack", ["x", "X"], "group 'g': duplicate members"),
+        ):
+            path.write_text(json.dumps([{"name": "g", "kind": kind, "members": members}]))
+            capsys.readouterr()
+            assert run(workspace, "eval") == 1
+            assert capsys.readouterr().err == f"error: groups file {path}: {message}\n"
+
+    def test_link_replaces_the_graph_file(self, workspace):
+        for stage in ("ingest", "train"):
+            assert run(workspace, stage) == 0
+        out = workspace / "out"
+        graph_file = out / "graph.nt"
+        before = graph_file.stat().st_ino
+        assert run(workspace, "link") == 0
+        assert graph_file.stat().st_ino != before
+        assert sorted(p.name for p in out.iterdir()) == [
+            "graph.nt", "links.txt", "model.vec", "tokens.txt"]
+
     def test_empty_gazetteer_entity_exits_1(self, workspace, capsys):
         lineno = append_row(workspace / "gazetteer.tsv", "foo bar\t\tproduct")
         assert run(workspace, "ingest") == 1

@@ -385,6 +385,21 @@ class TestSnapshot:
         assert snap.match_pattern("b_ent", "hasVulnerability", None) == \
             graph.match_pattern("b_ent", "hasVulnerability", None)
 
+    def test_snapshot_keeps_a_merge_whose_triple_was_retracted(self, schema):
+        graph = Graph(schema)
+        graph.assert_triple("a_ent", "hasVulnerability", "v1")
+        graph.merge_same_as("a_ent", "b_ent")
+        graph.retract_triple("a_ent", "sameAs", "b_ent")
+        snap = graph.snapshot()
+        expected = [Triple("a_ent", "hasVulnerability", "v1")]
+        assert graph.match_pattern("b_ent", "hasVulnerability", None) == expected
+        assert snap.match_pattern("b_ent", "hasVulnerability", None) == expected
+        assert vars(snap) == vars(graph)
+        snap.merge_same_as("b_ent", "c_ent")
+        snap.retract_triple("a_ent", "hasVulnerability", "v1")
+        assert graph.merged() == {"b_ent": "a_ent"}
+        assert graph.match_pattern("b_ent", "hasVulnerability", None) == expected
+
 
 class TestPersistence:
     def test_round_trip_byte_identical(self, advisory_graph, tmp_path):
