@@ -14,7 +14,7 @@ import json
 import logging
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from . import datasets, embedding, evaluation, ingest, linking, query as query_mod
@@ -26,8 +26,7 @@ from .rules import RuleSet, builtin_rules, load_rules
 
 logger = logging.getLogger(__name__)
 
-_TRAINING_FIELDS = ("dimension", "window", "min_count", "negatives", "epochs",
-                    "learning_rate", "seed")
+_TRAINING_FIELDS = tuple(f.name for f in fields(TrainingConfig))
 _PATH_FIELDS = ("corpus", "schema", "gazetteer", "templates", "stopwords",
                 "rules", "groups", "graph_file", "tokens_file", "model_file",
                 "link_audit", "eval_report")
@@ -189,13 +188,12 @@ def cmd_link(manifest: Manifest, args: argparse.Namespace) -> int:
 def _query_context(manifest: Manifest, stage: str):
     graph = _load_graph(manifest, stage)
     model = _load_model(manifest, stage)
-    table = linking.table_from_graph(graph, model)
-    rules = _load_rules(manifest)
-    return graph, model, table, rules
+    return graph, model, linking.table_from_graph(graph, model)
 
 
 def cmd_query(manifest: Manifest, args: argparse.Namespace) -> int:
-    graph, model, table, rules = _query_context(manifest, "query")
+    graph, model, table = _query_context(manifest, "query")
+    rules = _load_rules(manifest)
 
     def run(text: str) -> None:
         ast = query_mod.parse(text, schema=graph.schema, rules=rules)
@@ -223,7 +221,7 @@ def cmd_query(manifest: Manifest, args: argparse.Namespace) -> int:
 
 
 def cmd_eval(manifest: Manifest, args: argparse.Namespace) -> int:
-    graph, model, table, _ = _query_context(manifest, "eval")
+    graph, model, table = _query_context(manifest, "eval")
     groups = evaluation.load_groups(manifest.input_path("groups", "eval"))
     report = evaluation.evaluate_all(groups, graph, model, table, k=args.k)
     timing = evaluation.timing_comparison(groups, graph, model, table, k=args.k)
@@ -259,7 +257,7 @@ def cmd_sweep(manifest: Manifest, args: argparse.Namespace) -> int:
 
 def cmd_init(manifest_path: Path, args: argparse.Namespace) -> int:
     """Materialize the engineered mixed-class fixture as a workspace."""
-    fixture = datasets.mixed_class_corpus(seed=args.seed or 11)
+    fixture = datasets.mixed_class_corpus(seed=11 if args.seed is None else args.seed)
     out = datasets.write_workspace(fixture, manifest_path)
     print(f"manifest {out}")
     return 0
@@ -273,7 +271,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--manifest", "-m", default="manifest.json",
                         help="workspace manifest (JSON)")
     parser.add_argument("--seed", type=int, default=None,
-                        help="override the training seed")
+                        help="override the training seed "
+                             "(for init: the corpus seed, default 11)")
     parser.add_argument("-v", "--verbose", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -16,11 +16,12 @@ Two fixtures matter most:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
+from ._atomic import atomic_write
 from .embedding import TrainingConfig
 from .evaluation import SimilarityGroup
 from .ingest import Document, Gazetteer, RelationTemplate, build_corpus
@@ -216,84 +217,45 @@ def twin_sentences(seed: int, twins: tuple[str, str] = ("alpha_node", "beta_node
 
 def write_workspace(fixture: CorpusFixture, directory,
                     training: TrainingConfig = MIXED_TRAINING) -> Path:
-    """Materialize a fixture as CLI workspace files; returns the manifest path."""
+    """Materialize a fixture as CLI workspace files; returns the manifest path.
+
+    Every file's text is built first, then each file is replaced atomically
+    (see :mod:`vkg._atomic`), ``manifest.json`` last: a failure part-way
+    leaves each file whole, and a new workspace without its manifest.
+    """
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    (directory / "out").mkdir(exist_ok=True)
-
-    with open(directory / "corpus.jsonl", "w", encoding="utf-8") as fh:
-        for doc in fixture.docs:
-            fh.write(json.dumps({"id": doc.id, "source": doc.source,
-                                 "text": doc.text}) + "\n")
-
-    lines = ["[classes]"]
-    lines += sorted(fixture.schema.classes)
-    lines.append("")
-    lines.append("[subclass]")
-    lines += [f"{c} {p}" for c, p in sorted(fixture.schema.subclass_edges)]
-    lines.append("")
-    lines.append("[relations]")
-    for name in sorted(fixture.schema.relations):
-        domain, range_ = fixture.schema.relations[name]
-        if domain and range_:
-            lines.append(f"{name} {domain} {range_}")
-        else:
-            lines.append(name)
-    lines.append("")
-    lines.append("[aliases]")
-    lines += [f"{k} {v}" for k, v in sorted(fixture.schema.aliases.items())]
-    (directory / "schema.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-    with open(directory / "gazetteer.tsv", "w", encoding="utf-8") as fh:
-        for surface in sorted(fixture.gazetteer.entries):
-            entity, class_name = fixture.gazetteer.entries[surface]
-            fh.write(f"{' '.join(surface)}\t{entity}\t{class_name}\n")
-
-    with open(directory / "templates.tsv", "w", encoding="utf-8") as fh:
-        for t in fixture.templates:
-            row = f"{t.subject_class}\t{t.relation}\t{t.object_class}"
-            if t.triggers:
-                row += "\t" + ",".join(sorted(t.triggers))
-            fh.write(row + "\n")
-
-    (directory / "stopwords.txt").write_text(
-        "\n".join(sorted(fixture.stopwords)) + ("\n" if fixture.stopwords else ""),
-        encoding="utf-8")
-
-    with open(directory / "groups.json", "w", encoding="utf-8") as fh:
-        json.dump([{"name": g.name, "kind": g.kind, "members": list(g.members)}
-                   for g in fixture.groups], fh, indent=2)
-        fh.write("\n")
-
-    (directory / "rules.txt").write_text(
-        "RULE alert(left, right) ON ctx "
-        "WHEN nonempty(intersect(left, right)) THEN ALERT\n", encoding="utf-8")
-
-    manifest = {
-        "corpus": "corpus.jsonl",
-        "schema": "schema.txt",
-        "gazetteer": "gazetteer.tsv",
-        "templates": "templates.tsv",
-        "stopwords": "stopwords.txt",
-        "rules": "rules.txt",
-        "groups": "groups.json",
+    (directory / "out").mkdir(parents=True, exist_ok=True)
+    groups = [{"name": g.name, "kind": g.kind, "members": list(g.members)}
+              for g in fixture.groups]
+    files = {
+        "corpus": ("corpus.jsonl", "".join(
+            json.dumps({"id": d.id, "source": d.source, "text": d.text}) + "\n"
+            for d in fixture.docs)),
+        "schema": ("schema.txt", fixture.schema.to_text()),
+        "gazetteer": ("gazetteer.tsv", "".join(
+            f"{' '.join(surface)}\t{entity}\t{class_name}\n"
+            for surface, (entity, class_name)
+            in sorted(fixture.gazetteer.entries.items()))),
+        "templates": ("templates.tsv", "".join(
+            f"{t.subject_class}\t{t.relation}\t{t.object_class}"
+            + ("\t" + ",".join(sorted(t.triggers)) if t.triggers else "") + "\n"
+            for t in fixture.templates)),
+        "stopwords": ("stopwords.txt", "".join(w + "\n" for w in sorted(fixture.stopwords))),
+        "rules": ("rules.txt", "RULE alert(left, right) ON ctx "
+                  "WHEN nonempty(intersect(left, right)) THEN ALERT\n"),
+        "groups": ("groups.json", json.dumps(groups, indent=2) + "\n"),
+    }
+    manifest = {key: name for key, (name, _) in files.items()}
+    manifest.update({
         "graph_file": "out/graph.nt",
         "tokens_file": "out/tokens.txt",
         "model_file": "out/model.vec",
         "link_audit": "out/links.txt",
         "eval_report": "out/eval.json",
-        "training": {
-            "dimension": training.dimension,
-            "window": training.window,
-            "min_count": training.min_count,
-            "negatives": training.negatives,
-            "epochs": training.epochs,
-            "learning_rate": training.learning_rate,
-            "seed": training.seed,
-        },
-    }
-    manifest_path = directory / "manifest.json"
-    with open(manifest_path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2)
-        fh.write("\n")
-    return manifest_path
+        "training": asdict(training),
+    })
+    files["manifest"] = ("manifest.json", json.dumps(manifest, indent=2) + "\n")
+    for name, text in files.values():
+        with atomic_write(directory / name) as fh:
+            fh.write(text)
+    return directory / "manifest.json"

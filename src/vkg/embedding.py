@@ -27,6 +27,7 @@ from .errors import (
     EmptyVocabularyError,
     InvalidTokenError,
     MalformedHeaderError,
+    NonFiniteVectorError,
     OutOfVocabularyError,
     ZeroVectorError,
 )
@@ -71,8 +72,11 @@ class EmbeddingModel:
         vectors = np.asarray(vectors, dtype=np.float64)
         if vectors.ndim != 2 or vectors.shape[0] != len(tokens):
             raise ValueError("vectors must be a (vocab, dimension) matrix")
-        if not np.all(np.isfinite(vectors)):
-            raise ValueError("vectors must be finite")
+        bad = np.flatnonzero(~np.isfinite(vectors).all(axis=1))
+        if len(bad):
+            raise NonFiniteVectorError(
+                f"vector {bad[0]} ('{tokens[bad[0]]}') has a non-finite component",
+                int(bad[0]))
         if len(set(tokens)) != len(tokens):
             raise DuplicateTokenError("vocabulary tokens must be unique")
         for token in tokens:
@@ -176,7 +180,8 @@ class EmbeddingModel:
         take whole (a row count other than the header's, a duplicate token,
         a wrong shape, a numeral numpy rejects) goes through the row-by-row
         parse, which raises the first error in the file or accepts every
-        numeral ``float()`` takes.
+        numeral ``float()`` takes.  Finiteness is checked after the parse;
+        the error names the file and its first non-finite row.
         """
         with open(path, encoding="utf-8") as fh:
             header = fh.readline().split()
@@ -195,7 +200,12 @@ class EmbeddingModel:
         parsed = _bulk_rows(lines, vocab_size, dimension)
         if parsed is None:
             parsed = _row_by_row(lines, vocab_size, dimension)
-        return cls(*parsed)
+        try:
+            return cls(*parsed)
+        except NonFiniteVectorError as exc:
+            raise NonFiniteVectorError(
+                f"{path}: row {exc.index + 2}: non-finite component",
+                exc.index) from None
 
 
 def _bulk_rows(lines: list[str], vocab_size: int,

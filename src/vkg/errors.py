@@ -57,6 +57,14 @@ class InvalidTokenError(VkgError, ValueError):
     """Token is empty, holds whitespace (unwritable as .vec) or a reserved graph character."""
 
 
+class NonFiniteVectorError(VkgError, ValueError):
+    """A vector holds a nan or infinite component; ``index`` is its row in the matrix."""
+
+    def __init__(self, message: str, index: int):
+        self.index = index
+        super().__init__(message)
+
+
 class OutOfVocabularyError(VkgError):
     """Token not present in the embedding vocabulary."""
 

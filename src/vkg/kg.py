@@ -223,6 +223,23 @@ class Schema:
         with open(path, encoding="utf-8") as fh:
             return cls.parse(fh.read())
 
+    def to_text(self) -> str:
+        """The :meth:`parse` format, every section present and sorted.
+
+        A relation declared with only one of domain and range is written
+        as a bare name: the format has no spelling for half a signature.
+        """
+        relations = [f"{name} {domain} {range_}" if domain and range_ else name
+                     for name, (domain, range_) in sorted(self.relations.items())]
+        sections = [
+            ("classes", sorted(self.classes)),
+            ("subclass", [f"{c} {p}" for c, p in sorted(self.subclass_edges)]),
+            ("relations", relations),
+            ("aliases", [f"{k} {v}" for k, v in sorted(self.aliases.items())]),
+        ]
+        return "\n\n".join("\n".join([f"[{name}]", *lines])
+                         for name, lines in sections) + "\n"
+
 
 class Graph:
     """Triples kept in three indexes, each holding every triple once.

@@ -9,7 +9,9 @@ from pathlib import Path
 
 import pytest
 
+from vkg import datasets
 from vkg.cli import main
+from vkg.ingest import read_documents_jsonl
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -103,6 +105,30 @@ class TestStaging:
         assert graph_file.stat().st_ino != before
         assert sorted(p.name for p in out.iterdir()) == [
             "graph.nt", "links.txt", "model.vec", "tokens.txt"]
+
+    def test_non_finite_model_component_exits_1(self, workspace, capsys):
+        for stage in ("ingest", "train", "link"):
+            assert run(workspace, stage) == 0
+        path = workspace / "out" / "model.vec"
+        header, first, second, *rest = path.read_text(encoding="utf-8").splitlines(True)
+        fields = second.split(" ")
+        fields[1] = "nan"
+        path.write_text("".join([header, first, " ".join(fields), *rest]), encoding="utf-8")
+        capsys.readouterr()
+        assert run(workspace, "query", "--stmt", "LIST vulnerability OF 'mysql' AS K") == 1
+        assert capsys.readouterr().err == (
+            f"error: {path.resolve()}: row 3: non-finite component\n")
+
+    def test_eval_does_not_read_the_rules_file(self, workspace, capsys):
+        for stage in ("ingest", "train", "link"):
+            assert run(workspace, stage) == 0
+        rules = workspace / "rules.txt"
+        rules.write_text(rules.read_text(encoding="utf-8") + "RULE broken(\n",
+                         encoding="utf-8")
+        assert run(workspace, "eval") == 0
+        capsys.readouterr()
+        assert run(workspace, "query", "--stmt", "LIST vulnerability OF 'mysql' AS K") == 1
+        assert "expected identifier" in capsys.readouterr().err
 
     def test_empty_gazetteer_entity_exits_1(self, workspace, capsys):
         lineno = append_row(workspace / "gazetteer.tsv", "foo bar\t\tproduct")
@@ -258,3 +284,11 @@ class TestInit:
         assert main(["init", str(target)]) == 0
         assert (target / "manifest.json").exists()
         assert main(["--manifest", str(target / "manifest.json"), "ingest"]) == 0
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_seed_picks_the_corpus(self, tmp_path, seed):
+        target = tmp_path / "generated"
+        assert main(["--seed", str(seed), "init", str(target)]) == 0
+        docs = read_documents_jsonl(target / "corpus.jsonl")
+        assert docs == datasets.mixed_class_corpus(seed=seed).docs
+        assert docs != datasets.mixed_class_corpus().docs

@@ -23,6 +23,7 @@ from vkg.errors import (
     EmptyVocabularyError,
     InvalidTokenError,
     MalformedHeaderError,
+    NonFiniteVectorError,
     OutOfVocabularyError,
     VkgError,
     ZeroVectorError,
@@ -242,6 +243,14 @@ class TestTextFormat:
         with pytest.raises(InvalidTokenError) as info:
             EmbeddingModel([token, "c"], np.ones((2, 3)))
         assert isinstance(info.value, VkgError)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_vector_rejected(self, value):
+        with pytest.raises(NonFiniteVectorError,
+                           match=r"^vector 1 \('c'\) has a non-finite component$") as info:
+            EmbeddingModel(["a", "c", "d"], [[1.0, 2.0], [3.0, value], [value, 0.0]])
+        assert isinstance(info.value, VkgError) and isinstance(info.value, ValueError)
+        assert info.value.index == 1
 
     def test_row_count_mismatch(self, tmp_path):
         path = tmp_path / "model.vec"

@@ -4,7 +4,8 @@
 numpy call and falls back to a row-by-row parse.  Whatever the file, it must
 agree with ``float_parse`` below, the row-by-row ``float()`` reader it
 replaced: bit-identical vectors on success, and otherwise the same exception
-type and message (the first error in the file wins).
+type and message (the first error in the file wins; a non-finite component
+is reported after the parse, at its file and row).
 
 ``.nt``: :meth:`Graph.parse` checks each distinct raw token once per parse.
 It must build exactly the graph, or raise exactly the error, that asserting
@@ -12,25 +13,39 @@ each line's triple in turn through :meth:`Graph.assert_triple` gives.
 
 ``Triple`` and ``Literal`` are tuples: a literal never equals the entity
 with the same text.
+
+DSL: :func:`vkg.query.unparse` of any valid query AST parses back to it.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from vkg.embedding import EmbeddingModel
+from vkg.embedding import EmbeddingModel, _bulk_rows
 from vkg.errors import (
     DimensionMismatchError,
     DuplicateTokenError,
     GraphFormatError,
     MalformedHeaderError,
+    NonFiniteVectorError,
     UnknownClassError,
     UnknownRelationError,
 )
-from vkg.kg import Graph, Literal, Schema, Triple
+from vkg.kg import Graph, Literal, Schema, Triple, normalize
+from vkg.query import (
+    InferStmt,
+    ListStmt,
+    QueryAst,
+    SearchStmt,
+    VarRef,
+    parse,
+    unparse,
+)
 
 # huge finite components overflow the row norms the model computes; harmless here
 pytestmark = pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
@@ -79,6 +94,9 @@ def float_parse(path) -> EmbeddingModel:
         if len(tokens) != vocab_size:
             raise MalformedHeaderError(
                 f"header declares {vocab_size} rows, file has {len(tokens)}")
+    for i, row in enumerate(vectors):
+        if not all(math.isfinite(x) for x in row):
+            raise NonFiniteVectorError(f"{path}: row {i + 2}: non-finite component", i)
     return EmbeddingModel(tokens, vectors)
 
 
@@ -153,6 +171,21 @@ def test_first_error_in_the_file_wins(tmp_path):
         DimensionMismatchError, "row 4: expected 2 components, got 1")
     path.write_text("2 2\na 1 2\nb 1_0 ٣\n", encoding="utf-8")
     assert EmbeddingModel.load_text(path).vector("b").tolist() == [10.0, 3.0]
+    path.write_text("2 2\na nan 1\nb 1\n", encoding="utf-8")
+    assert outcome(EmbeddingModel.load_text, path) == (
+        DimensionMismatchError, "row 3: expected 2 components, got 1")
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "1e400"])
+@pytest.mark.parametrize("other", ["4", "1_000"], ids=["bulk", "row-by-row"])
+def test_non_finite_component_names_the_file_and_row(tmp_path, bad, other):
+    path = tmp_path / "model.vec"
+    path.write_text(f"3 2\na 1 {other}\nb 2 {bad}\nc {bad} 3\n", encoding="utf-8")
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)[1:]
+    assert (_bulk_rows(lines, 3, 2) is None) == (other == "1_000")
+    expected = (NonFiniteVectorError, f"{path}: row 3: non-finite component")
+    assert outcome(EmbeddingModel.load_text, path) == expected
+    assert outcome(float_parse, path) == expected
 
 
 # --- .nt ----------------------------------------------------------------------
@@ -242,3 +275,40 @@ def test_literal_never_equals_the_entity(text):
     assert len({Literal(text), text}) == 2
     assert Literal(text) == Literal(text)
     assert Triple("s", "p", text) == ("s", "p", text)
+
+
+# --- DSL ----------------------------------------------------------------------
+
+ident = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,5}", fullmatch=True)
+# a quoted term as the parser returns it: normalized, without a quote mark
+term = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="'\n"),
+               min_size=1, max_size=8).filter(str.strip).map(normalize)
+
+
+@st.composite
+def query_ast(draw) -> QueryAst:
+    """Statements that only read variables bound by earlier ones."""
+    out_vars = draw(st.lists(ident, min_size=1, max_size=5, unique=True))
+    statements = []
+    for i, out in enumerate(out_vars):
+        bound = out_vars[:i]
+        kind = draw(st.sampled_from(["search", "list", "infer"] if bound
+                                    else ["search", "list"]))
+        if kind == "search":
+            stmt = SearchStmt(draw(term), draw(st.none() | ident.map(str.lower)),
+                              draw(st.integers(0, 10**6)), out)
+        elif kind == "list":
+            source = draw(term | st.sampled_from(bound).map(VarRef)) if bound \
+                else draw(term)
+            stmt = ListStmt(draw(ident).lower(), source, out)
+        else:
+            in_vars = draw(st.lists(st.sampled_from(bound), min_size=1, max_size=3))
+            stmt = InferStmt(draw(ident), tuple(in_vars), draw(st.none() | term), out)
+        statements.append(stmt)
+    return QueryAst(tuple(statements))
+
+
+@FUZZ
+@given(ast=query_ast())
+def test_dsl_parse_inverts_unparse(ast):
+    assert parse(unparse(ast)) == ast
