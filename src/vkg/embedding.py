@@ -87,7 +87,23 @@ class EmbeddingModel:
         self.vectors: np.ndarray = vectors
         self.frequencies: dict[str, int] = dict(frequencies or {})
         self._index = {tok: i for i, tok in enumerate(self.tokens)}
-        self._norms = np.linalg.norm(vectors, axis=1)
+        self._scaled: np.ndarray | None = None
+        self._scaled_norms: np.ndarray | None = None
+        with np.errstate(over="ignore", under="ignore"):
+            norms = np.linalg.norm(vectors, axis=1)
+            # a rescaled row's squared norm leaves the float range: it is
+            # scored from max-abs-scaled copies, never from its components
+            rescaled = np.isinf(norms) | ((norms == 0.0) & vectors.any(axis=1))
+            if rescaled.any():
+                peak = np.abs(vectors).max(axis=1)
+                self._scaled = vectors / np.where(peak > 0.0, peak, 1.0)[:, None]
+                self._scaled_norms = np.linalg.norm(self._scaled, axis=1)
+                norms[rescaled] = peak[rescaled] * self._scaled_norms[rescaled]
+        self._norms = norms
+        self._scorable = norms > 0.0
+        self._plain = self._scorable & ~rescaled
+        # no zero or rescaled row: top_k scores the stored matrix as it is
+        self._all_plain = bool(self._plain.all())
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -100,23 +116,34 @@ class EmbeddingModel:
         return self.vectors.shape[1]
 
     def vector(self, token: str) -> np.ndarray:
+        return self.vectors[self._row(token)]
+
+    def row_of(self, token: str) -> int | None:
+        """The token's row number; None for an out-of-vocabulary token."""
+        return self._index.get(token)
+
+    def _row(self, token: str) -> int:
         try:
-            return self.vectors[self._index[token]]
+            return self._index[token]
         except KeyError:
             raise OutOfVocabularyError(f"token '{token}' not in vocabulary") from None
 
     def cosine(self, a: str, b: str) -> float:
         """Cosine of the angle between two token vectors, in [-1, 1]."""
-        va, vb = self.vector(a), self.vector(b)
-        na, nb = self._norms[self._index[a]], self._norms[self._index[b]]
-        if na == 0.0 or nb == 0.0:
+        i, j = self._row(a), self._row(b)
+        if not (self._scorable[i] and self._scorable[j]):
             raise ZeroVectorError(f"cosine undefined for zero vector ('{a}' or '{b}')")
-        return float(np.clip(np.dot(va, vb) / (na * nb), -1.0, 1.0))
+        if self._plain[i] and self._plain[j]:
+            vectors, norms = self.vectors, self._norms
+        else:
+            vectors, norms = self._scaled, self._scaled_norms
+        return float(np.clip(np.dot(vectors[i], vectors[j]) / (norms[i] * norms[j]),
+                             -1.0, 1.0))
 
     def row_mask(self, tokens: Iterable[str]) -> np.ndarray:
         """Boolean mask over the vocabulary rows; out-of-vocabulary tokens are ignored."""
         mask = np.zeros(len(self.tokens), dtype=bool)
-        mask[[self._index[t] for t in tokens if t in self._index]] = True
+        mask[[i for i in map(self._index.get, tokens) if i is not None]] = True
         return mask
 
     def top_k(self, query: str, k: int,
@@ -128,24 +155,17 @@ class EmbeddingModel:
         :meth:`row_mask`) restricts the candidates; every row is scored
         either way, so a token's score does not depend on the mask.
         Zero-norm tokens cannot be scored and are skipped.  A zero-norm
-        query raises ZeroVectorError.
+        query raises ZeroVectorError.  A pair with a row whose squared norm
+        leaves the float range is scored from max-abs-scaled copies.
         """
-        qi = self._index.get(query)
-        if qi is None:
-            raise OutOfVocabularyError(f"token '{query}' not in vocabulary")
+        qi = self._row(query)
         if k <= 0:
             return []
-        qnorm = self._norms[qi]
-        if qnorm == 0.0:
+        if not self._scorable[qi]:
             raise ZeroVectorError(f"token '{query}' has a zero vector")
-        scorable = self._norms > 0.0
-        scores = np.zeros(len(self.tokens))
-        scores[scorable] = (self.vectors[scorable] @ self.vectors[qi]) / (
-            self._norms[scorable] * qnorm
-        )
+        scores = self._scores(qi)
         np.clip(scores, -1.0, 1.0, out=scores)
-        if among is not None:
-            scorable &= among
+        scorable = self._scorable.copy() if among is None else self._scorable & among
         scorable[qi] = False
         rows = np.flatnonzero(scorable)
         if len(rows) > k:
@@ -158,6 +178,23 @@ class EmbeddingModel:
             key=lambda pair: (-pair[1], pair[0]),
         )
         return ranked[:k]
+
+    def _scores(self, qi: int) -> np.ndarray:
+        """Unclipped cosine of row ``qi`` with every row; 0 where a row is zero."""
+        qnorm = self._norms[qi]
+        if self._all_plain:
+            # every row scorable: no masked copy of the matrix
+            return (self.vectors @ self.vectors[qi]) / (self._norms * qnorm)
+        scores = np.zeros(len(self.tokens))
+        plain = self._plain & self._plain[qi]
+        scores[plain] = (self.vectors[plain] @ self.vectors[qi]) / (
+            self._norms[plain] * qnorm
+        )
+        if self._scaled is not None:   # a rescaled query or candidate
+            rest = self._scorable & ~plain
+            scaled, norms = self._scaled, self._scaled_norms
+            scores[rest] = (scaled[rest] @ scaled[qi]) / (norms[rest] * norms[qi])
+        return scores
 
     # --- persistence ----------------------------------------------------
 

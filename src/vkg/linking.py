@@ -6,11 +6,13 @@ token.  Links are identities, so a saved graph file carries the whole hybrid
 structure, and any other stored hasVector triple is stale.  :func:`link_all`
 brings the stored links in line with the rule; :func:`table_from_graph` reads
 them back.  The table is immutable; retraining rebuilds it via :func:`relink`.
+Both carry the mask of the model rows linked to an entity, collected in the
+pass that reads the links, so searches do not rebuild it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Mapping
 
@@ -30,6 +32,20 @@ class LinkTable:
     links: Mapping[str, str]
     unlinked: frozenset[str]
     model_version: int = 1
+    # (model, read-only mask of its rows linked to an entity): a view of
+    # ``links`` kept by the functions below, which build the table
+    linked_rows: tuple[EmbeddingModel, np.ndarray] | None = field(
+        default=None, compare=False, repr=False)
+
+    def row_mask(self, model: EmbeddingModel) -> np.ndarray:
+        """Mask of the model's rows linked to an entity; do not write to it.
+
+        The carried mask when the table was built against this model, else
+        ``model.row_mask(links)``.
+        """
+        if self.linked_rows is not None and self.linked_rows[0] is model:
+            return self.linked_rows[1]
+        return model.row_mask(self.links)
 
     @property
     def coverage(self) -> float:
@@ -51,18 +67,16 @@ def link_all(graph: Graph, model: EmbeddingModel, model_version: int = 1) -> Lin
     missing ones asserted.  Returns the table :func:`table_from_graph` then
     reads.  Idempotent for a fixed (graph, model) pair.
     """
-    entities = graph.entities()
-    links: dict[str, str] = {}
-    for t in graph.triples_with(HAS_VECTOR):
-        if _is_link(t, entities, model):
-            links[t.subject] = t.subject
-        else:
-            graph.retract_triple(t.subject, t.predicate, t.object)
+    entities, links, rows, stale = _read_links(graph, model)
+    for t in stale:
+        graph.retract_triple(t.subject, t.predicate, t.object)
     for entity in entities - links.keys():
-        if entity in model:
+        row = model.row_of(entity)
+        if row is not None:
             graph.assert_triple(entity, HAS_VECTOR, Literal(entity))
             links[entity] = entity
-    return LinkTable(MappingProxyType(links), frozenset(entities - links.keys()), model_version)
+            rows.append(row)
+    return _table(model, entities, links, rows, model_version)
 
 
 def relink(graph: Graph, new_model: EmbeddingModel,
@@ -112,11 +126,39 @@ def table_from_graph(graph: Graph, model: EmbeddingModel,
     token has dropped out of the model vocabulary, or that is not an identity,
     leaves its entity unlinked (the caller should relink).
     """
+    entities, links, rows, _ = _read_links(graph, model)
+    return _table(model, entities, links, rows, model_version)
+
+
+def _read_links(graph: Graph, model: EmbeddingModel,
+                ) -> tuple[set[str], dict[str, str], list[int], list[Triple]]:
+    """The graph's entities, its stored links, their model rows, and the
+    stale hasVector triples.
+
+    A hasVector triple is a link iff its subject is an entity and a
+    vocabulary token and its object is ``Literal(subject)``.
+    """
     entities = graph.entities()
-    links = {t.subject: t.subject for t in graph.triples_with(HAS_VECTOR)
-             if _is_link(t, entities, model)}
-    return LinkTable(MappingProxyType(links), frozenset(entities - links.keys()), model_version)
+    links: dict[str, str] = {}
+    rows: list[int] = []
+    stale: list[Triple] = []
+    for t in graph.triples_with(HAS_VECTOR):
+        subject = t.subject
+        # a Literal equals the 1-tuple of its value: no Literal built per triple
+        row = (model.row_of(subject)
+               if subject in entities and t.object == (subject,) else None)
+        if row is not None:
+            links[subject] = subject
+            rows.append(row)
+        else:
+            stale.append(t)
+    return entities, links, rows, stale
 
 
-def _is_link(t: Triple, entities: set[str], model: EmbeddingModel) -> bool:
-    return t.subject in entities and t.object == Literal(t.subject) and t.subject in model
+def _table(model: EmbeddingModel, entities: set[str], links: dict[str, str],
+           rows: list[int], model_version: int) -> LinkTable:
+    mask = np.zeros(len(model), dtype=bool)
+    mask[rows] = True
+    mask.flags.writeable = False
+    return LinkTable(MappingProxyType(links), frozenset(entities - links.keys()),
+                     model_version, (model, mask))

@@ -303,25 +303,27 @@ def vkg_search(term: str, class_filter: str | None, k: int, graph: Graph,
     term = normalize(term)
     if k <= 0:
         return []
-    linked = links.links
     merged = graph.merged()
     own = {graph.canonical(term)}
     own |= {e for e, c in merged.items() if c in own}
+    # qualifying rows: linked, passing the filter, outside the own class
     if class_filter is None:
-        qualifying = linked.keys() - own
+        among = links.row_mask(model).copy()
     else:
         if not graph.schema.has_class(class_filter):
             raise UnknownClassError(f"unknown class '{class_filter}'")
         allowed = graph.instances_of(class_filter)   # canonical entities
-        qualifying = {e for e in allowed if e in linked}
-        qualifying |= {e for e, c in merged.items() if c in allowed and e in linked}
-        qualifying -= own
+        allowed |= {e for e, c in merged.items() if c in allowed}
+        among = model.row_mask(allowed) & links.row_mask(model)
+    among[model.row_mask(own)] = False
     # each hit token is its own entity; a merged-away one can take a scan
     # slot its canonical entity already holds, so widen the scan by one each
-    width = k + sum(e in qualifying for e in merged)
+    width = k
+    if merged:
+        width += int((among & model.row_mask(merged)).sum())
     results: list[tuple[str, float]] = []
     seen: set[str] = set()
-    for token, score in model.top_k(term, width, among=model.row_mask(qualifying)):
+    for token, score in model.top_k(term, width, among=among):
         entity = merged.get(token, token)
         if entity not in seen:
             seen.add(entity)

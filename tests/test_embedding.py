@@ -209,6 +209,110 @@ class TestTopK:
         assert model.top_k("t0001", 3, among=model.row_mask([])) == []
 
 
+def masked_copy_top_k(model: EmbeddingModel, query: str, k: int, among=None):
+    """``top_k`` as it scored before the copy-free scan: one boolean-index
+    copy of the scorable rows, zero-norm rows scored 0 and skipped.  Rows
+    whose squares leave the float range score nan or 0 here, silently."""
+    qi = model.tokens.index(query)
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.linalg.norm(model.vectors, axis=1)
+        scorable = norms > 0.0
+        scores = np.zeros(len(model))
+        scores[scorable] = (model.vectors[scorable] @ model.vectors[qi]) / (
+            norms[scorable] * norms[qi])
+        np.clip(scores, -1.0, 1.0, out=scores)
+    if among is not None:
+        scorable &= among
+    scorable[qi] = False
+    ranked = sorted(((model.tokens[i], float(scores[i])) for i in np.flatnonzero(scorable)),
+                    key=lambda pair: (-pair[1], pair[0]))
+    return ranked[:k]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestScoringPaths:
+    """Differential tests of the scan: a model without zero or rescaled rows
+    scores the stored matrix in place, any other model the scorable rows;
+    both must give the scores of the masked-copy expression bit for bit."""
+
+    def check_bit_identical(self, model, rng, queries):
+        for query in queries:
+            mask = rng.random(len(model)) < 0.4
+            for k in (1, 7, len(model)):
+                assert model.top_k(query, k) == masked_copy_top_k(model, query, k)
+                assert (model.top_k(query, k, among=mask)
+                        == masked_copy_top_k(model, query, k, among=mask))
+
+    def test_gaussian_models(self):
+        rng = np.random.default_rng(21)
+        for size, dim in ((2, 1), (40, 3), (300, 16), (1000, 32)):
+            rows = rng.normal(size=(size, dim)) * rng.choice([1e-3, 1.0, 1e3])
+            model = EmbeddingModel([f"t{i:04d}" for i in range(size)], rows)
+            self.check_bit_identical(model, rng, model.tokens[:: max(1, size // 8)])
+
+    def test_tied_integer_vectors(self):
+        rng = np.random.default_rng(22)
+        for _ in range(5):
+            model = TestTopK().tied_model(rng, size=90, distinct=5)
+            self.check_bit_identical(model, rng, model.tokens[:10])
+
+    def test_models_with_zero_rows(self):
+        rng = np.random.default_rng(23)
+        for _ in range(5):
+            rows = rng.integers(-3, 4, size=(80, 4)).astype(np.float64)
+            rows[rng.random(80) < 0.2] = 0.0
+            model = EmbeddingModel([f"t{i:04d}" for i in range(80)], rows)
+            queries = [t for t, row in zip(model.tokens, rows) if row.any()][:10]
+            self.check_bit_identical(model, rng, queries)
+
+    def test_models_with_rescaled_rows(self):
+        """Rows scaled by exact powers of two past the float range of their
+        squares score as the unscaled rows do, within rounding; a pair of
+        unscaled rows keeps the masked-copy score bit for bit."""
+        rng = np.random.default_rng(24)
+        for _ in range(5):
+            base = rng.normal(size=(60, 6))
+            base[rng.random(60) < 0.1] = 0.0
+            scale = rng.choice([1.0, 2.0 ** 600, 2.0 ** -560, 2.0 ** 1000], size=60)
+            tokens = [f"t{i:04d}" for i in range(60)]
+            model = EmbeddingModel(tokens, base * scale[:, None])
+            reference = EmbeddingModel(tokens, base)
+            plain = scale == 1.0
+            for query in [t for t, row in zip(tokens, base) if row.any()][:12]:
+                got = dict(model.top_k(query, len(model)))
+                want = dict(reference.top_k(query, len(model)))
+                assert got.keys() == want.keys()
+                assert all(math.isclose(got[t], want[t], rel_tol=0, abs_tol=1e-12)
+                           for t in got)
+                ranked = model.top_k(query, len(model))
+                assert ranked == sorted(ranked, key=lambda pair: (-pair[1], pair[0]))
+                if plain[tokens.index(query)]:
+                    old = dict(masked_copy_top_k(model, query, len(model),
+                                                 among=plain))
+                    assert all(got[t] == score for t, score in old.items())
+                for other in got:
+                    assert model.cosine(query, other) == pytest.approx(got[other], abs=1e-12)
+
+    def test_huge_components_score_finite(self):
+        model = EmbeddingModel(["a", "b"], [[1e200, 0.0], [1e200, 1.0]])
+        assert model.cosine("a", "b") == 1.0
+        assert model.top_k("a", 1) == [("b", 1.0)]
+        model = EmbeddingModel(["a", "b", "c"],
+                               [[1.7e308, -1.7e308], [-1e300, 1e300], [1.0, 1.0]])
+        assert model.top_k("c", 2) == [("a", 0.0), ("b", 0.0)]
+        assert model.cosine("a", "b") == pytest.approx(-1.0, abs=1e-15)
+
+    def test_tiny_components_are_not_zero_vectors(self):
+        model = EmbeddingModel(["a", "b", "c"],
+                               [[1e-200, 0.0], [1e-200, 1e-200], [1.0, 0.0]])
+        assert [t for t, _ in model.top_k("c", 2)] == ["a", "b"]
+        assert model.cosine("a", "c") == 1.0
+        assert model.cosine("b", "c") == pytest.approx(math.sqrt(0.5), abs=1e-15)
+        assert model.top_k("a", 2) == [("c", 1.0), ("b", model.cosine("a", "b"))]
+        with pytest.raises(ZeroVectorError):
+            EmbeddingModel(["z", "a"], [[0.0, 0.0], [5e-324, 0.0]]).cosine("z", "a")
+
+
 class TestTextFormat:
     def test_small_file_loads(self, tmp_path):
         path = tmp_path / "model.vec"

@@ -4,8 +4,11 @@
 oracle is the rebuild it replaced: retract every link, then assert one per
 entity in the vocabulary.  Both run over random sequences of type
 asserts/retracts, relation asserts/retracts, stray link triples, sameAs
-merges and model swaps.  ``vkg_search``, which reads identity links only, is
-checked against a full-vocabulary scan over random merges and tied vectors.
+merges and model swaps.  The mask of linked rows that each built table
+carries must equal ``row_mask(links)``, and a table used with another model,
+or built by hand without a mask, must search as a fresh one does.
+``vkg_search``, which reads identity links only, is checked against a
+full-vocabulary scan over random merges and tied vectors.
 """
 
 from __future__ import annotations
@@ -75,15 +78,33 @@ def apply(graph: Graph, kind: str, a, b) -> None:
         graph.merge_same_as(a, b)
 
 
+def searches(graph: Graph, model: EmbeddingModel, table: LinkTable):
+    return [vkg_search(term, class_filter, 3, graph, model, table)
+            for term in model.tokens for class_filter in (None, "product", "vulnerability")]
+
+
+def assert_carries_its_mask(table: LinkTable, model: EmbeddingModel) -> None:
+    carried_for, mask = table.linked_rows
+    assert carried_for is model
+    assert np.array_equal(mask, model.row_mask(table.links))
+    assert table.row_mask(model) is mask
+
+
 @FUZZ
 @given(steps=st.lists(step, max_size=25))
 def test_link_all_matches_the_rebuild_oracle(steps):
     schema = datasets.security_schema()
     graph, mirror = Graph(schema), Graph(schema)
     model = model_over(WORDS[:3])
+    got = None
     for kind, *args in steps:
         if kind == "model":
-            model = model_over(args[0])
+            new_model = model_over(args[0])
+            if got is not None:
+                # a table built against the old model rebuilds its mask
+                assert (searches(graph, new_model, got)
+                        == searches(graph, new_model, table_from_graph(graph, new_model)))
+            model = new_model
         else:
             apply(graph, kind, *args)
             apply(mirror, kind, *args)
@@ -95,6 +116,12 @@ def test_link_all_matches_the_rebuild_oracle(steps):
         read = table_from_graph(graph, model)
         assert dict(read.links) == dict(got.links)
         assert read.unlinked == got.unlinked
+        assert_carries_its_mask(got, model)
+        assert_carries_its_mask(read, model)
+    if got is not None:
+        # a hand-built table carries no mask
+        assert searches(graph, model, LinkTable(got.links, got.unlinked)) == searches(
+            graph, model, got)
     text = graph.to_text()
     link_all(graph, model)
     assert graph.to_text() == text
