@@ -64,6 +64,10 @@ class TrainingConfig:
             raise ValueError("learning_rate must be positive")
 
 
+# rows with a smaller norm have a subnormal squared norm
+_SQRT_TINY = float(np.sqrt(np.finfo(np.float64).tiny))
+
+
 class EmbeddingModel:
     """Ordered vocabulary plus one dense vector per token."""
 
@@ -91,9 +95,10 @@ class EmbeddingModel:
         self._scaled_norms: np.ndarray | None = None
         with np.errstate(over="ignore", under="ignore"):
             norms = np.linalg.norm(vectors, axis=1)
-            # a rescaled row's squared norm leaves the float range: it is
-            # scored from max-abs-scaled copies, never from its components
-            rescaled = np.isinf(norms) | ((norms == 0.0) & vectors.any(axis=1))
+            # a rescaled row's squared norm leaves the normal float range
+            # (it overflows, or is subnormal and has lost its precision): it
+            # is scored from max-abs-scaled copies, never from its components
+            rescaled = np.isinf(norms) | ((norms < _SQRT_TINY) & vectors.any(axis=1))
             if rescaled.any():
                 peak = np.abs(vectors).max(axis=1)
                 self._scaled = vectors / np.where(peak > 0.0, peak, 1.0)[:, None]
@@ -156,7 +161,7 @@ class EmbeddingModel:
         either way, so a token's score does not depend on the mask.
         Zero-norm tokens cannot be scored and are skipped.  A zero-norm
         query raises ZeroVectorError.  A pair with a row whose squared norm
-        leaves the float range is scored from max-abs-scaled copies.
+        leaves the normal float range is scored from max-abs-scaled copies.
         """
         qi = self._row(query)
         if k <= 0:
@@ -185,6 +190,9 @@ class EmbeddingModel:
         if self._all_plain:
             # every row scorable: no masked copy of the matrix
             return (self.vectors @ self.vectors[qi]) / (self._norms * qnorm)
+        # the product over every row differs from the product over the
+        # scorable rows' copy in the last bit of some scores (the BLAS kernel
+        # blocks the rows by their count), so these rows keep the copy
         scores = np.zeros(len(self.tokens))
         plain = self._plain & self._plain[qi]
         scores[plain] = (self.vectors[plain] @ self.vectors[qi]) / (

@@ -33,9 +33,9 @@ class LinkTable:
     unlinked: frozenset[str]
     model_version: int = 1
     # (model, read-only mask of its rows linked to an entity): a view of
-    # ``links`` kept by the functions below, which build the table
+    # ``links`` that only the builders below set, never a caller
     linked_rows: tuple[EmbeddingModel, np.ndarray] | None = field(
-        default=None, compare=False, repr=False)
+        default=None, init=False, compare=False, repr=False)
 
     def row_mask(self, model: EmbeddingModel) -> np.ndarray:
         """Mask of the model's rows linked to an entity; do not write to it.
@@ -160,5 +160,7 @@ def _table(model: EmbeddingModel, entities: set[str], links: dict[str, str],
     mask = np.zeros(len(model), dtype=bool)
     mask[rows] = True
     mask.flags.writeable = False
-    return LinkTable(MappingProxyType(links), frozenset(entities - links.keys()),
-                     model_version, (model, mask))
+    table = LinkTable(MappingProxyType(links), frozenset(entities - links.keys()),
+                      model_version)
+    object.__setattr__(table, "linked_rows", (model, mask))
+    return table

@@ -258,11 +258,20 @@ class TestScoringPaths:
 
     def test_models_with_zero_rows(self):
         rng = np.random.default_rng(23)
+        models = []
         for _ in range(5):
             rows = rng.integers(-3, 4, size=(80, 4)).astype(np.float64)
             rows[rng.random(80) < 0.2] = 0.0
-            model = EmbeddingModel([f"t{i:04d}" for i in range(80)], rows)
-            queries = [t for t, row in zip(model.tokens, rows) if row.any()][:10]
+            models.append(rows)
+        # at this size the product over every row and the product over the
+        # nonzero rows' copy differ in the last bit of some scores
+        large = np.random.default_rng(1)
+        rows = large.normal(size=(3000, 100))
+        rows[large.random(3000) < 0.3] = 0.0
+        models.append(rows)
+        for rows in models:
+            model = EmbeddingModel([f"t{i:04d}" for i in range(len(rows))], rows)
+            queries = [t for t, row in zip(model.tokens, rows) if row.any()][:20]
             self.check_bit_identical(model, rng, queries)
 
     def test_models_with_rescaled_rows(self):
@@ -311,6 +320,14 @@ class TestScoringPaths:
         assert model.top_k("a", 2) == [("c", 1.0), ("b", model.cosine("a", "b"))]
         with pytest.raises(ZeroVectorError):
             EmbeddingModel(["z", "a"], [[0.0, 0.0], [5e-324, 0.0]]).cosine("z", "a")
+        # a subnormal squared norm carries a few significant bits: 1.6e-162
+        # squared rounds from 2.56e-324 to 4.94e-324
+        model = EmbeddingModel(["a", "c"], [[1.6e-162, 0.0], [1.0, 0.0]])
+        assert model.cosine("a", "c") == 1.0
+        assert model.top_k("c", 1) == [("a", 1.0)]
+        model = EmbeddingModel(["a", "c"], [[1e-161, 0.0], [1.0, 1.0]])
+        assert model.cosine("a", "c") == pytest.approx(math.sqrt(0.5), abs=1e-15)
+        assert model.top_k("a", 1)[0][1] == pytest.approx(math.sqrt(0.5), abs=1e-15)
 
 
 class TestTextFormat:

@@ -16,6 +16,7 @@ from __future__ import annotations
 from types import MappingProxyType
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -119,9 +120,12 @@ def test_link_all_matches_the_rebuild_oracle(steps):
         assert_carries_its_mask(got, model)
         assert_carries_its_mask(read, model)
     if got is not None:
-        # a hand-built table carries no mask
-        assert searches(graph, model, LinkTable(got.links, got.unlinked)) == searches(
-            graph, model, got)
+        # a hand-built table carries no mask, and no caller can give it one
+        hand_built = LinkTable(got.links, got.unlinked)
+        assert hand_built.linked_rows is None
+        assert searches(graph, model, hand_built) == searches(graph, model, got)
+        with pytest.raises(TypeError):
+            LinkTable(got.links, got.unlinked, 1, got.linked_rows)
     text = graph.to_text()
     link_all(graph, model)
     assert graph.to_text() == text
