@@ -14,6 +14,8 @@ A trained model is immutable and safe to share across reader threads.
 
 from __future__ import annotations
 
+import logging
+import time
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -31,6 +33,8 @@ from .errors import (
     OutOfVocabularyError,
     ZeroVectorError,
 )
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -309,12 +313,10 @@ def _row_by_row(lines: list[str], vocab_size: int,
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # exp(-|x|) is exp(-x) where x >= 0 and exp(x) elsewhere, so both branches
+    # are computed everywhere and np.where picks the stable one, bit for bit
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def pair_loss(center: np.ndarray, context: np.ndarray,
@@ -372,19 +374,28 @@ def train(corpus: Iterable[Sequence[str]], cfg: TrainingConfig) -> EmbeddingMode
     w_in = (rng.random((vocab_size, cfg.dimension)) - 0.5) / cfg.dimension
     w_out = np.zeros((vocab_size, cfg.dimension))
 
-    # unigram^0.75 negative-sampling distribution
+    # unigram^0.75 negative-sampling distribution, as the CDF that
+    # Generator.choice(p=noise) builds on every call: searching it with the
+    # same uniforms is the same draw, without choice's per-call check of p
     freq = np.array([counts[tok] for tok in vocab], dtype=np.float64) ** 0.75
     noise = freq / freq.sum()
+    cdf = noise.cumsum()
+    cdf /= cdf[-1]
 
     total_pairs = cfg.epochs * sum(len(centers) for centers, _ in pairs)
     min_alpha = cfg.learning_rate * 1e-4
     done = 0
-    for _ in range(cfg.epochs):
+    for epoch in range(1, cfg.epochs + 1):
+        start = time.perf_counter()
         for centers, contexts in pairs:
             alpha = max(min_alpha, cfg.learning_rate * (1.0 - done / total_pairs))
-            negs = rng.choice(vocab_size, size=(len(centers), cfg.negatives), p=noise)
+            negs = cdf.searchsorted(rng.random((len(centers), cfg.negatives)),
+                                    side="right")
             _sentence_step(w_in, w_out, centers, contexts, negs, alpha)
             done += len(centers)
+        logger.debug("epoch %d/%d: %d of %d pairs done, %.0f pairs/s",
+                     epoch, cfg.epochs, done, total_pairs,
+                     total_pairs / cfg.epochs / max(time.perf_counter() - start, 1e-9))
 
     return EmbeddingModel(vocab, w_in, {tok: counts[tok] for tok in vocab})
 
@@ -415,6 +426,18 @@ def _sentence_step(w_in: np.ndarray, w_out: np.ndarray, centers: np.ndarray,
     """One minibatch SGD step over all window pairs of a sentence."""
     grad_center, grad_context, grad_negs = _gradients(
         w_in[centers], w_out[contexts], w_out[negs])
-    np.add.at(w_in, centers, -alpha * grad_center)
-    np.add.at(w_out, contexts, -alpha * grad_context)
-    np.add.at(w_out, negs.ravel(), -alpha * grad_negs.reshape(-1, w_out.shape[1]))
+    _scatter_add(w_in, centers, -alpha * grad_center)
+    _scatter_add(w_out, contexts, -alpha * grad_context)
+    _scatter_add(w_out, negs, -alpha * grad_negs)
+
+
+def _scatter_add(w: np.ndarray, rows: np.ndarray, grads: np.ndarray) -> None:
+    """``np.add.at(w, rows, grads)`` on the flat matrix, where numpy's 1-D fast path runs.
+
+    Each element of ``w`` receives the same additions in the same order, so
+    the sums are identical.  ``w`` must be C-contiguous: ``reshape(-1)`` is
+    then a view, and the update lands in ``w``.
+    """
+    d = w.shape[1]
+    flat = (rows.reshape(-1, 1) * d + np.arange(d)).ravel()
+    np.add.at(w.reshape(-1), flat, grads.ravel())

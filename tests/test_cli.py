@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import json
+import logging
 import shutil
 from pathlib import Path
 
@@ -220,6 +221,28 @@ class TestPipeline:
         assert fresh_rows[0] == committed_rows[0]
         assert [row.split()[0] for row in fresh_rows[1:]] == [
             row.split()[0] for row in committed_rows[1:]]
+
+    def test_verbose_train_logs_each_epoch_and_keeps_stdout(self, workspace, capsys,
+                                                            caplog):
+        assert run(workspace, "ingest") == 0
+        capsys.readouterr()
+        assert run(workspace, "train") == 0
+        quiet = capsys.readouterr().out
+        model = (workspace / "out" / "model.vec").read_bytes()
+        caplog.set_level(logging.DEBUG, logger="vkg.embedding")
+        assert main(["-v", "--manifest", str(workspace / "manifest.json"), "train"]) == 0
+        assert capsys.readouterr().out == quiet
+        assert (workspace / "out" / "model.vec").read_bytes() == model
+        epochs = json.loads((workspace / "manifest.json").read_text())["training"]["epochs"]
+        messages = [r.getMessage() for r in caplog.records
+                    if r.name == "vkg.embedding" and r.levelno == logging.DEBUG]
+        assert len(messages) == epochs
+        total = int(messages[0].split(" of ")[1].split()[0])
+        for epoch, message in enumerate(messages, start=1):
+            assert message.startswith(
+                f"epoch {epoch}/{epochs}: {total * epoch // epochs} of {total} pairs done, ")
+            assert float(message.split(", ")[1].split()[0]) > 0
+            assert message.endswith(" pairs/s")
 
     def test_seed_env_override_changes_model(self, workspace, monkeypatch):
         assert run(workspace, "ingest") == 0

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from vkg.embedding import (
     EmbeddingModel,
     TrainingConfig,
     _sentence_step,
+    _sigmoid,
     _window_pairs,
     pair_gradients,
     pair_loss,
@@ -491,3 +493,110 @@ class TestTrainerOracles:
         _sentence_step(w_in, w_out, centers, contexts, negs, alpha)
         np.testing.assert_allclose(w_in, want_in, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(w_out, want_out, rtol=1e-12, atol=1e-12)
+
+
+def masked_sigmoid(x: np.ndarray) -> np.ndarray:
+    """The sigmoid as the trainer first wrote it: one boolean gather and scatter per sign."""
+    out = np.empty_like(x, dtype=np.float64)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def reference_train(sentences, cfg: TrainingConfig) -> tuple[list[str], np.ndarray]:
+    """The trainer before its per-step rewrite: ``rng.choice`` negatives,
+    2-D ``np.add.at`` and the masked sigmoid."""
+    counts = Counter(tok for sent in sentences for tok in sent)
+    vocab = sorted((tok for tok, c in counts.items() if c >= cfg.min_count),
+                   key=lambda tok: (-counts[tok], tok))
+    index = {tok: i for i, tok in enumerate(vocab)}
+    encoded = [np.array([index[t] for t in sent if t in index], dtype=np.int64)
+               for sent in sentences]
+    pairs = [p for p in (_window_pairs(s, cfg.window) for s in encoded) if len(p[0])]
+    rng = np.random.default_rng(cfg.seed)
+    w_in = (rng.random((len(vocab), cfg.dimension)) - 0.5) / cfg.dimension
+    w_out = np.zeros((len(vocab), cfg.dimension))
+    freq = np.array([counts[tok] for tok in vocab], dtype=np.float64) ** 0.75
+    noise = freq / freq.sum()
+    total_pairs = cfg.epochs * sum(len(centers) for centers, _ in pairs)
+    done = 0
+    for _ in range(cfg.epochs):
+        for centers, contexts in pairs:
+            alpha = max(cfg.learning_rate * 1e-4,
+                        cfg.learning_rate * (1.0 - done / total_pairs))
+            negs = rng.choice(len(vocab), size=(len(centers), cfg.negatives), p=noise)
+            v_c, u_o, u_n = w_in[centers], w_out[contexts], w_out[negs]
+            g_pos = masked_sigmoid(np.einsum("pd,pd->p", u_o, v_c)) - 1.0
+            g_neg = masked_sigmoid(np.einsum("pnd,pd->pn", u_n, v_c))
+            grad_center = g_pos[:, None] * u_o + np.einsum("pn,pnd->pd", g_neg, u_n)
+            grad_negs = g_neg[:, :, None] * v_c[:, None, :]
+            np.add.at(w_in, centers, -alpha * grad_center)
+            np.add.at(w_out, contexts, -alpha * (g_pos[:, None] * v_c))
+            np.add.at(w_out, negs.ravel(), -alpha * grad_negs.reshape(-1, cfg.dimension))
+            done += len(centers)
+    return vocab, w_in
+
+
+def random_training_case(seed: int) -> tuple[list[list[str]], TrainingConfig]:
+    """A seeded corpus and config; seeds 0-3 force the edge cases."""
+    rng = np.random.default_rng(seed)
+    vocab_size = 3 if seed == 2 else int(rng.integers(2, 40))
+    # Zipf-like frequencies, so a min_count above 1 drops the rare tail
+    weights = 1.0 / np.arange(1, vocab_size + 1)
+    sentences = [
+        [f"w{j}" for j in rng.choice(vocab_size, size=int(rng.integers(1, 16)),
+                                     p=weights / weights.sum())]
+        for _ in range(int(rng.integers(3, 30)))
+    ]
+    sentences += [["w0"]] * int(rng.integers(1, 4))      # one-token sentences
+    if seed == 1:
+        sentences = [[tok] for sent in sentences for tok in sent]
+    cfg = TrainingConfig(
+        dimension=1 if seed == 0 else int(rng.integers(1, 70)),
+        window=int(rng.integers(1, 8)),
+        min_count=3 if seed == 3 else int(rng.integers(1, 3)),
+        negatives=11 if seed == 2 else int(rng.integers(1, 12)),
+        epochs=int(rng.integers(1, 4)),
+        learning_rate=float(rng.uniform(0.01, 0.1)),
+        seed=int(rng.integers(0, 2**31)),
+    )
+    return sentences, cfg
+
+
+class TestTrainerMatchesReference:
+    """``train`` against a copy of its earlier form, bit for bit: the flat
+    scatter-add keeps each element's additions in order, the CDF search is
+    the draw ``Generator.choice(p=...)`` makes, and the branch-free sigmoid
+    rounds as the masked one does."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_vectors_are_bit_identical(self, seed):
+        sentences, cfg = random_training_case(seed)
+        want_tokens, want_vectors = reference_train(sentences, cfg)
+        model = train(sentences, cfg)
+        assert model.tokens == want_tokens
+        assert np.array_equal(model.vectors, want_vectors)
+
+    def test_cases_cover_the_edges(self):
+        cases = [random_training_case(seed) for seed in range(20)]
+        assert any(cfg.dimension == 1 for _, cfg in cases)
+        assert all(any(len(s) == 1 for s in sents) for sents, _ in cases)
+        assert any(all(len(s) == 1 for s in sents) for sents, _ in cases)
+        assert any(cfg.negatives > len({t for s in sents for t in s})
+                   for sents, cfg in cases)
+        dropped = [
+            sents for sents, cfg in cases
+            if min(Counter(t for s in sents for t in s).values()) < cfg.min_count
+        ]
+        assert dropped
+
+    def test_sigmoid_is_bit_identical_to_the_masked_form(self):
+        edges = [0.0, 1e-300, 40.0, 745.0, 1e308]
+        x = np.array(edges + [-v for v in edges]
+                     + list(np.random.default_rng(3).normal(scale=20.0, size=200)))
+        for shape in [(len(x),), (len(x) // 5, 5)]:
+            got, want = _sigmoid(x.reshape(shape)), masked_sigmoid(x.reshape(shape))
+            assert got.shape == want.shape == shape
+            assert got.tobytes() == want.tobytes()
