@@ -22,7 +22,7 @@ to that variable and unions the results.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Union
@@ -366,12 +366,11 @@ def execute(plan: Plan, graph: Graph, model: EmbeddingModel | None,
     are not even passed them), so a plan without SEARCH statements runs
     with ``model=None``.  With ``parallel=True`` the plan runs wave by
     wave (:attr:`Plan.waves`) on worker threads against the shared
-    read-only inputs (a wave of one node runs inline); a wave's bindings
-    are applied once the whole wave has returned, so results equal
-    sequential execution's.  A failure raises the ``ExecutionError`` of
-    the earliest failing wave's first failing node (sequentially: of the
-    first failing statement).  ``trace`` records which side each node
-    dispatched to, in statement order.
+    read-only inputs; a wave's bindings are applied once the whole wave has
+    returned, so results equal sequential execution's.  A failure raises
+    the ``ExecutionError`` of the earliest failing wave's first failing
+    node (sequentially: of the first failing statement).  ``trace``
+    records which side each node dispatched to, in statement order.
     """
     bindings = Bindings()
     if parallel:
@@ -380,18 +379,10 @@ def execute(plan: Plan, graph: Graph, model: EmbeddingModel | None,
         def run(index: int) -> _Update:
             return _compute(plan.nodes[index], graph, model, links, rules, wave_bindings)
 
-        width = max(map(len, plan.waves), default=0)
-        if width > 1:
-            from concurrent.futures import ThreadPoolExecutor
-            pool = ThreadPoolExecutor(max_workers=width)
-        else:
-            pool = nullcontext()   # every wave is a lone node
         updates: dict[int, _Update] = {}
-        with pool:
+        with ThreadPoolExecutor(max_workers=max(map(len, plan.waves), default=1)) as pool:
             for wave in plan.waves:
-                # a lone node runs inline: a thread would only add its hand-off
-                runner = map if len(wave) == 1 else pool.map
-                updates.update(zip(wave, runner(run, wave)))
+                updates.update(zip(wave, pool.map(run, wave)))
                 for index in wave:
                     _apply(updates[index], wave_bindings)
         for index in sorted(updates):

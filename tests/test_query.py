@@ -458,33 +458,10 @@ class TestExecute:
 
     def test_sequential_run_builds_no_pool_and_no_waves(self, schema, monkeypatch):
         graph, model, table = alert_fixture(schema)
-        monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", None)
+        monkeypatch.setattr("vkg.query.ThreadPoolExecutor", None)
         plan = decompose(parse(QUERY_1))
         execute(plan, graph, model, table, builtin_rules())
         assert "waves" not in vars(plan) and "ancestors" not in vars(plan)
-
-    def test_parallel_run_builds_a_pool_only_for_a_wide_wave(self, schema, monkeypatch):
-        import concurrent.futures
-        graph, model, table = alert_fixture(schema)
-        built = []
-        real = concurrent.futures.ThreadPoolExecutor
-
-        def counting(*args, **kwargs):
-            built.append(kwargs["max_workers"])
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", counting)
-        chain = decompose(parse("LIST vulnerability OF 'mysql' AS K; "
-                                "LIST vulnerability OF K AS L"))
-        assert chain.waves == ((0,), (1,))
-        assert (execute(chain, graph, model, table, parallel=True).values
-                == execute(chain, graph, model, table).values)
-        assert built == []
-        plan = decompose(parse(QUERY_1))
-        assert plan.waves == ((0, 1), (2,))
-        assert (execute(plan, graph, model, table, builtin_rules(), parallel=True).values
-                == execute(plan, graph, model, table, builtin_rules()).values)
-        assert built == [2]
 
     def test_format_bindings(self, schema):
         graph, model, table = alert_fixture(schema)
