@@ -3,15 +3,13 @@
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 from .errors import VkgError
 from .kg import normalize
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str   # IDENT | INT | QUOTED | OP | EOF
     text: str
     line: int
@@ -24,60 +22,45 @@ class ScanError(Exception):
         super().__init__(message)
 
 
-_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_INT = re.compile(r"\d+")
-_QUOTED = re.compile(r"'([^'\n]*)'")
+def tokenizer(operators: tuple[str, ...]) -> re.Pattern:
+    """One pattern whose alternatives, tried in order, cover every character.
+
+    A token's alternative is a group named after its kind.  Whitespace runs
+    match no group; a quote that opens no quoted token, or any character no
+    other alternative takes, is ``BAD``.  Operators are tried longest first.
+    """
+    ops = "|".join(map(re.escape, sorted(operators, key=len, reverse=True)))
+    return re.compile(
+        r"(?P<NL>\n)|[ \t\r]+|(?P<COMMENT>#[^\n]*)|'(?P<QUOTED>[^'\n]*)'"
+        r"|(?P<INT>\d+)|(?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)"
+        + (f"|(?P<OP>{ops})" if ops else "") + r"|(?P<BAD>(?s:.))")
 
 
-def scan(text: str, operators: tuple[str, ...]) -> list[Token]:
-    """Tokenize; operators are matched longest-first.  '#' comments to EOL."""
-    ops = sorted(operators, key=len, reverse=True)
+def scan(text: str, pattern: re.Pattern) -> list[Token]:
+    """Tokenize with a :func:`tokenizer` pattern; ``#`` comments run to end of line.
+
+    A token's column counts from 1 at its line's start.  The EOF token sits
+    after the last character, or at the ``#`` of a comment that ends the text.
+    """
     tokens: list[Token] = []
-    line, col = 1, 1
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            line, col = line + 1, 1
-            i += 1
+    append = tokens.append
+    line, base = 1, -1   # base: offset of the newline before the line, -1 on line 1
+    m = None
+    for m in pattern.finditer(text):
+        kind = m.lastgroup
+        if kind is None or kind == "COMMENT":   # whitespace or a comment
             continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < len(text) and text[i] != "\n":
-                i += 1
-            continue
-        m = _QUOTED.match(text, i)
-        if m:
-            tokens.append(Token("QUOTED", m.group(1), line, col))
-            col += m.end() - i
-            i = m.end()
-            continue
-        if ch == "'":
-            raise ScanError("unterminated quoted token", line, col)
-        m = _INT.match(text, i)
-        if m:
-            tokens.append(Token("INT", m.group(0), line, col))
-            col += m.end() - i
-            i = m.end()
-            continue
-        m = _IDENT.match(text, i)
-        if m:
-            tokens.append(Token("IDENT", m.group(0), line, col))
-            col += m.end() - i
-            i = m.end()
-            continue
-        for op in ops:
-            if text.startswith(op, i):
-                tokens.append(Token("OP", op, line, col))
-                i += len(op)
-                col += len(op)
-                break
+        if kind == "NL":
+            line, base = line + 1, m.start()
+        elif kind == "BAD":
+            ch = m[kind]
+            message = "unterminated quoted token" if ch == "'" \
+                else f"unexpected character {ch!r}"
+            raise ScanError(message, line, m.start() - base)
         else:
-            raise ScanError(f"unexpected character {ch!r}", line, col)
-    tokens.append(Token("EOF", "", line, col))
+            append(Token(kind, m[kind], line, m.start() - base))
+    end = m.start() if m is not None and m.lastgroup == "COMMENT" else len(text)
+    append(Token("EOF", "", line, end - base))
     return tokens
 
 
@@ -85,14 +68,20 @@ class Cursor:
     """Position in the tokens of a text, with the terminals both grammars share.
 
     A parser subclasses it with its grammar, its ``operators`` and
-    :meth:`error`, which builds the parser's own syntax error.
+    :meth:`error`, which builds the parser's own syntax error.  Each
+    subclass compiles its :func:`tokenizer` pattern once, when it is defined.
     """
 
     operators: tuple[str, ...] = ()
+    pattern: re.Pattern
+
+    def __init_subclass__(cls, **kwargs: Any):
+        super().__init_subclass__(**kwargs)
+        cls.pattern = tokenizer(cls.operators)
 
     def __init__(self, text: str):
         try:
-            self.tokens = scan(text, self.operators)
+            self.tokens = scan(text, self.pattern)
         except ScanError as exc:
             raise self.error(exc.message, exc.line, exc.column) from None
         self.pos = 0

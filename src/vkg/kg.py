@@ -427,6 +427,16 @@ class Graph:
             out.add(ct)
         return sorted(out, key=Triple.sort_key)
 
+    def objects(self, subject: str, predicate: str) -> set[str]:
+        """Canonical entity objects of the subject's triples with the predicate.
+
+        ``match_pattern(subject, predicate, None)``'s entity objects, read
+        straight from the subject index; literal objects are skipped.
+        """
+        bucket = self._by_s.get(self.resolve(subject), {}).get(predicate, ())
+        root = self._same_root
+        return {root.get(o, o) for _, _, o in bucket if isinstance(o, str)}
+
     def _candidates(self, s, p, o) -> Iterable[Triple]:
         pools = []
         if s is not None:

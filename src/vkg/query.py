@@ -158,7 +158,7 @@ class _QueryParser(Cursor):
 
     def list_stmt(self) -> ListStmt:
         self.keyword("LIST")
-        relation = self.ident("relation keyword").lower()
+        relation = self.ident("relation keyword")
         self.keyword("OF")
         tok = self.peek()
         source: Union[str, VarRef]
@@ -424,14 +424,12 @@ def _compute(node: PlanNode, graph: Graph, model: EmbeddingModel | None,
 def _run_list(stmt: ListStmt, graph: Graph, bindings: Bindings) -> ResultSet:
     relation = graph.schema.resolve_alias(stmt.relation_alias)
     if isinstance(stmt.source, VarRef):
-        subjects = sorted(bindings.entities(stmt.source.name))
+        subjects = bindings.entities(stmt.source.name)
     else:
-        subjects = [stmt.source]
+        subjects = {stmt.source}
     out: set[str] = set()
     for subject in subjects:
-        for t in graph.match_pattern(subject, relation, None):
-            if isinstance(t.object, str):
-                out.add(t.object)
+        out |= graph.objects(subject, relation)
     return tuple((entity, None) for entity in sorted(out))
 
 

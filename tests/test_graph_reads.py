@@ -5,8 +5,8 @@ a test-local union-find whose root is the smallest member of its class; every
 read it answers is a scan of that list.  Random sequences of asserts (type,
 relation, literal, subClassOf and hasVector triples), retractions and sameAs
 merges run on a ``Graph`` and on the oracle, and every read is compared after
-every step: all eight bound/unbound shapes of ``match_pattern``, ``len``,
-``in``, iteration, ``to_text``, ``instances_of``, ``triples_with``,
+every step: all eight bound/unbound shapes of ``match_pattern``, ``objects``,
+``len``, ``in``, iteration, ``to_text``, ``instances_of``, ``triples_with``,
 ``entities``, ``neighbor_pairs`` and ``similarities``.
 """
 
@@ -78,6 +78,11 @@ class Oracle:
                 and (o is None or c.object == o)}
         return sorted(hits, key=Triple.sort_key)
 
+    def objects(self, s: str, p: str) -> set[str]:
+        return {self.find(t.object) for t in self.triples
+                if self.find(t.subject) == self.find(s) and t.predicate == p
+                and isinstance(t.object, str)}
+
     def text(self) -> str:
         def term(x):
             return f'"{x.value}"' if isinstance(x, Literal) else f"<{x}>"
@@ -140,6 +145,8 @@ def check_reads(graph: Graph, oracle: Oracle) -> None:
     for key in product([None] + WORDS + CLASSES, [None] + PREDICATES,
                        [None] + WORDS + CLASSES + LITERALS):
         assert graph.match_pattern(*key) == oracle.match(*key), key
+    for s, p in product(WORDS + CLASSES + ["zz"], PREDICATES):
+        assert graph.objects(s, p) == oracle.objects(s, p), (s, p)
     for cls in CLASSES:
         assert graph.instances_of(cls) == oracle.instances(cls), cls
     for p in PREDICATES:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from vkg.errors import (
     UnknownRelationError,
     UnknownRuleError,
 )
-from vkg.kg import Graph, Schema
+from vkg.kg import Graph, Literal, Schema
 from vkg.linking import link_all
 from vkg.query import (
     GRAPH_SIDE,
@@ -39,6 +40,7 @@ from vkg.query import (
 )
 from vkg.rules import builtin_rules, parse_rules
 
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 QUERY_1 = ("SEARCH 'denial_of_service' CLASS Vulnerability AS V; "
            "LIST vulnerability OF 'MySQL' AS K; "
            "INFER alert FROM V, K ON 'MySQL' AS A")
@@ -83,6 +85,14 @@ class TestParse:
     def test_unknown_alias_with_schema(self, schema):
         with pytest.raises(UnknownRelationError):
             parse("LIST nonsense OF 'mysql' AS K", schema=schema)
+
+    def test_list_keeps_the_relation_keyword_as_written(self):
+        schema = Schema.load(FIXTURES / "schema.txt")
+        for keyword in ("hasAttack", "attack", "ATTACK", "Attack"):
+            ast = parse(f"LIST {keyword} OF 'x' AS K", schema=schema)
+            assert ast.statements[0] == ListStmt(keyword, "x", "K")
+        with pytest.raises(UnknownRelationError):
+            parse("LIST hasattack OF 'x' AS K", schema=schema)
 
     def test_unknown_rule_with_ruleset(self):
         with pytest.raises(UnknownRuleError):
@@ -402,6 +412,37 @@ class TestExecute:
         plan = decompose(parse("LIST vulnerability OF 'ghost' AS K"))
         bindings = execute(plan, graph, None, None)
         assert bindings.values["K"] == ()
+
+    def test_list_by_relation_id_on_the_fixtures_schema(self):
+        graph = Graph(Schema.load(FIXTURES / "schema.txt"))
+        graph.assert_triple("mysql", "hasAttack", "remote_code_execution")
+        plan = decompose(parse("LIST hasAttack OF 'MySQL' AS K", schema=graph.schema))
+        assert execute(plan, graph, None, None).values["K"] == (
+            ("remote_code_execution", None),)
+
+    @pytest.mark.parametrize("source, expected", [
+        ("'mysql'", ["bof", "sql_injection"]),     # literal object skipped
+        ("'my_sql'", ["bof", "sql_injection"]),    # merged-away subject
+        ("'ghost'", []),                           # unknown subject
+        ("P", ["heap_spray"]),                     # fan-out over a merged object
+    ])
+    def test_list_equals_the_match_pattern_projection(self, schema, source, expected):
+        graph = Graph(schema)
+        graph.assert_triple("mysql", "hasVulnerability", "buffer_overflow")
+        graph.assert_triple("mysql", "hasVulnerability", Literal("CVE-2024-1"))
+        graph.assert_triple("zz_sql", "hasVulnerability", "sql_injection")
+        graph.assert_triple("buffer_overflow", "hasVulnerability", "heap_spray")
+        graph.merge_same_as("my_sql", "mysql")
+        graph.merge_same_as("zz_sql", "my_sql")          # asserted on a merged-away name
+        graph.merge_same_as("buffer_overflow", "bof")    # canonical 'bof'
+        text = f"LIST vulnerability OF 'mysql' AS P; LIST vulnerability OF {source} AS K"
+        bindings = execute(decompose(parse(text)), graph, None, None)
+        subjects = bindings.entities("P") if source == "P" else {source.strip("'")}
+        projection = {t.object for subject in subjects
+                      for t in graph.match_pattern(subject, "hasVulnerability", None)
+                      if isinstance(t.object, str)}
+        assert sorted(projection) == expected
+        assert bindings.values["K"] == tuple((e, None) for e in expected)
 
     def test_fan_out_equals_two_step_oracle(self, schema):
         graph, model, table = alert_fixture(schema)

@@ -300,7 +300,7 @@ def query_ast(draw) -> QueryAst:
         elif kind == "list":
             source = draw(term | st.sampled_from(bound).map(VarRef)) if bound \
                 else draw(term)
-            stmt = ListStmt(draw(ident).lower(), source, out)
+            stmt = ListStmt(draw(ident), source, out)
         else:
             in_vars = draw(st.lists(st.sampled_from(bound), min_size=1, max_size=3))
             stmt = InferStmt(draw(ident), tuple(in_vars), draw(st.none() | term), out)
