@@ -426,7 +426,7 @@ def _run_list(stmt: ListStmt, graph: Graph, bindings: Bindings) -> ResultSet:
     if isinstance(stmt.source, VarRef):
         subjects = bindings.entities(stmt.source.name)
     else:
-        subjects = {stmt.source}
+        subjects = [stmt.source]
     out: set[str] = set()
     for subject in subjects:
         out |= graph.objects(subject, relation)
