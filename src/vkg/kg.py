@@ -261,6 +261,8 @@ class Graph:
         self._same_members: dict[str, list[str]] = {}  # root -> entities merged into it
         # raw node -> number of stored triples that make it an entity (see entities())
         self._refs: dict[str, int] = {}
+        # raw nodes written since link_all last ran on this graph; None until it has
+        self._touched: set[str] | None = None
 
     def __len__(self) -> int:
         return sum(map(len, self._by_p.values()))
@@ -326,6 +328,8 @@ class Graph:
         if len(triples) == size:
             return
         entity_object = isinstance(o, str)
+        if self._touched is not None:
+            self._touched.update((s, o) if entity_object else (s,))
         root = self._same_root
         self._by_s.setdefault(root.get(s, s), {}).setdefault(p, set()).add(t)
         self._by_o.setdefault(root.get(o, o) if entity_object else o, set()).add(t)
@@ -347,6 +351,8 @@ class Graph:
             return False
         s, p, o = t.subject, t.predicate, t.object
         entity_object = isinstance(o, str)
+        if self._touched is not None:
+            self._touched.update((s, o) if entity_object else (s,))
         cs = self.canonical(s)
         predicates = self._by_s[cs]
         for index, key in ((predicates, p), (self._by_p, p),
@@ -553,7 +559,8 @@ class Graph:
         """Independent copy safe to hand to a reader thread.
 
         The indexes, reference counts and sameAs classes are copied as they
-        are, so a merge whose sameAs triple was retracted survives.
+        are, so a merge whose sameAs triple was retracted survives.  The copy
+        records no touched nodes: its first link_all reads every link.
         """
         g = Graph(self.schema)
         g._by_s = {s: {p: set(b) for p, b in preds.items()}

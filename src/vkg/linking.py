@@ -8,10 +8,18 @@ brings the stored links in line with the rule; :func:`table_from_graph` reads
 them back.  The table is immutable; retraining rebuilds it via :func:`relink`.
 Both carry the mask of the model rows linked to an entity, collected in the
 pass that reads the links, so searches do not rebuild it.
+
+Once :func:`link_all` has run on a graph, the graph records the nodes its
+writes touch, and the next run against the same model re-applies the rule to
+those nodes only, updating copies of the last table it returned.  It reads
+every link again (the full pass) when the graph has no earlier table (a new
+graph or a snapshot), when the model is another object, when the schema's
+class count changed, or when a non-identity hasVector triple is left over.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Mapping
@@ -23,6 +31,10 @@ from .errors import UnlinkedEntityError
 from .kg import Graph, Literal, Triple
 
 HAS_VECTOR = "hasVector"
+
+# graph -> (model, class count, table) of the last link_all on it; kept off
+# the graph, whose attributes stay plain, deep-copyable data
+_LAST: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 @dataclass(frozen=True)
@@ -65,18 +77,64 @@ def link_all(graph: Graph, model: EmbeddingModel, model_version: int = 1) -> Lin
 
     Mutates the graph: only stale link triples are retracted and only
     missing ones asserted.  Returns the table :func:`table_from_graph` then
-    reads.  Idempotent for a fixed (graph, model) pair.
+    reads.  Idempotent for a fixed (graph, model) pair.  After a first run
+    against this model, only the nodes written since the last run are
+    revisited (see :func:`_update`).
     """
-    entities, links, rows, stale = _read_links(graph, model)
-    for t in stale:
-        graph.retract_triple(t.subject, t.predicate, t.object)
-    for entity in entities - links.keys():
-        row = model.row_of(entity)
+    last = _LAST.get(graph)
+    classes = len(graph.schema.classes)
+    table = None
+    if last is not None and last[0] is model and last[1] == classes:
+        table = _update(graph, model, last[2], model_version)
+    if table is None:
+        entities, links, mask, stale = _read_links(graph, model)
+        for t in stale:
+            graph.retract_triple(t.subject, t.predicate, t.object)
+        for entity in entities - links.keys():
+            row = model.row_of(entity)
+            if row is not None:
+                graph.assert_triple(entity, HAS_VECTOR, Literal(entity))
+                links[entity] = entity
+                mask[row] = True
+        table = _table(model, links, entities - links.keys(), mask, model_version)
+    graph._touched = set()
+    _LAST[graph] = (model, classes, table)
+    return table
+
+
+def _update(graph: Graph, model: EmbeddingModel, last: LinkTable,
+            model_version: int) -> LinkTable | None:
+    """``last`` with the link rule re-applied to the nodes written since.
+
+    A node no write touched keeps its entity status and its hasVector
+    triples, so its link stands.  None when a non-identity hasVector triple
+    is left, which only the full pass retracts.
+    """
+    touched = graph._touched
+    links = last.links.copy()
+    unlinked = set(last.unlinked - touched)
+    mask = last.linked_rows[1].copy()
+    # the rule of Graph.entities(), for one node: no copy of every node
+    refs, classes = graph._refs, graph.schema.classes
+    for node in touched:
+        link = Triple(node, HAS_VECTOR, Literal(node))
+        entity = node in refs and node not in classes
+        row = model.row_of(node) if entity else None
         if row is not None:
-            graph.assert_triple(entity, HAS_VECTOR, Literal(entity))
-            links[entity] = entity
-            rows.append(row)
-    return _table(model, entities, links, rows, model_version)
+            links[node] = node
+            mask[row] = True
+            if link not in graph:
+                graph.assert_triple(*link)
+            continue
+        if links.pop(node, None) is not None:
+            mask[model.row_of(node)] = False
+        if entity:
+            unlinked.add(node)
+        if link in graph:
+            graph.retract_triple(*link)
+    if len(graph._by_p.get(HAS_VECTOR, ())) != len(links):   # a stray triple
+        return None
+    return _table(model, links, unlinked, mask, model_version)
 
 
 def relink(graph: Graph, new_model: EmbeddingModel,
@@ -126,14 +184,14 @@ def table_from_graph(graph: Graph, model: EmbeddingModel,
     token has dropped out of the model vocabulary, or that is not an identity,
     leaves its entity unlinked (the caller should relink).
     """
-    entities, links, rows, _ = _read_links(graph, model)
-    return _table(model, entities, links, rows, model_version)
+    entities, links, mask, _ = _read_links(graph, model)
+    return _table(model, links, entities - links.keys(), mask, model_version)
 
 
 def _read_links(graph: Graph, model: EmbeddingModel,
-                ) -> tuple[set[str], dict[str, str], list[int], list[Triple]]:
-    """The graph's entities, its stored links, their model rows, and the
-    stale hasVector triples.
+                ) -> tuple[set[str], dict[str, str], np.ndarray, list[Triple]]:
+    """The graph's entities, its stored links, the mask of their model rows,
+    and the stale hasVector triples.
 
     A hasVector triple is a link iff its subject is an entity and a
     vocabulary token and its object is ``Literal(subject)``.
@@ -152,15 +210,14 @@ def _read_links(graph: Graph, model: EmbeddingModel,
             rows.append(row)
         else:
             stale.append(t)
-    return entities, links, rows, stale
-
-
-def _table(model: EmbeddingModel, entities: set[str], links: dict[str, str],
-           rows: list[int], model_version: int) -> LinkTable:
     mask = np.zeros(len(model), dtype=bool)
     mask[rows] = True
+    return entities, links, mask, stale
+
+
+def _table(model: EmbeddingModel, links: dict[str, str], unlinked: set[str],
+           mask: np.ndarray, model_version: int) -> LinkTable:
     mask.flags.writeable = False
-    table = LinkTable(MappingProxyType(links), frozenset(entities - links.keys()),
-                      model_version)
+    table = LinkTable(MappingProxyType(links), frozenset(unlinked), model_version)
     object.__setattr__(table, "linked_rows", (model, mask))
     return table

@@ -3,10 +3,13 @@
 ``link_all`` only retracts stale link triples and asserts missing ones.  Its
 oracle is the rebuild it replaced: retract every link, then assert one per
 entity in the vocabulary.  Both run over random sequences of type
-asserts/retracts, relation asserts/retracts, stray link triples, sameAs
-merges and model swaps.  The mask of linked rows that each built table
-carries must equal ``row_mask(links)``, and a table used with another model,
-or built by hand without a mask, must search as a fresh one does.
+asserts/retracts, relation asserts/retracts, stray link triples, direct
+unlinks, sameAs merges, class declarations, snapshots and model swaps.  The
+mask of linked rows that each built table carries must equal
+``row_mask(links)``, no later write may change an earlier table, and a table
+used with another model, or built by hand without a mask, must search as a
+fresh one does.  After a first ``link_all``, a write is relinked by
+revisiting the nodes it touched, without a full pass.
 ``vkg_search``, which reads identity links only, is checked against a
 full-vocabulary scan over random merges and tied vectors.
 """
@@ -20,7 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vkg import datasets
+from vkg import datasets, linking
 from vkg.embedding import EmbeddingModel
 from vkg.kg import Graph, Literal
 from vkg.linking import HAS_VECTOR, LinkTable, link_all, table_from_graph
@@ -60,11 +63,14 @@ step = st.one_of(
     st.tuples(st.just("unrelate"), word, word),
     st.tuples(st.just("stray"), word, word),
     st.tuples(st.just("merge"), word, word),
+    st.tuples(st.just("unlink"), word),
+    st.tuples(st.just("declare"), word),
+    st.tuples(st.just("snapshot")),
     st.tuples(st.just("model"), st.frozensets(st.sampled_from(WORDS + ["zz"]), min_size=1)),
 )
 
 
-def apply(graph: Graph, kind: str, a, b) -> None:
+def apply(graph: Graph, kind: str, a, b=None) -> None:
     if kind == "tag":
         graph.assert_triple(a, "type", b)
     elif kind == "untag":
@@ -77,6 +83,10 @@ def apply(graph: Graph, kind: str, a, b) -> None:
         graph.assert_triple(a, HAS_VECTOR, Literal(b))
     elif kind == "merge":
         graph.merge_same_as(a, b)
+    elif kind == "unlink":
+        graph.retract_triple(a, HAS_VECTOR, Literal(a))
+    elif kind == "declare":
+        graph.schema.declare_class(a)
 
 
 def searches(graph: Graph, model: EmbeddingModel, table: LinkTable):
@@ -94,12 +104,15 @@ def assert_carries_its_mask(table: LinkTable, model: EmbeddingModel) -> None:
 @FUZZ
 @given(steps=st.lists(step, max_size=25))
 def test_link_all_matches_the_rebuild_oracle(steps):
-    schema = datasets.security_schema()
-    graph, mirror = Graph(schema), Graph(schema)
+    # each side declares its own classes
+    graph, mirror = Graph(datasets.security_schema()), Graph(datasets.security_schema())
     model = model_over(WORDS[:3])
     got = None
+    returned = []
     for kind, *args in steps:
-        if kind == "model":
+        if kind == "snapshot":
+            graph = graph.snapshot()
+        elif kind == "model":
             new_model = model_over(args[0])
             if got is not None:
                 # a table built against the old model rebuilds its mask
@@ -119,6 +132,11 @@ def test_link_all_matches_the_rebuild_oracle(steps):
         assert read.unlinked == got.unlinked
         assert_carries_its_mask(got, model)
         assert_carries_its_mask(read, model)
+        returned.append((got, dict(got.links), got.unlinked, got.linked_rows[1].copy()))
+    for table, links, unlinked, mask in returned:
+        assert dict(table.links) == links
+        assert table.unlinked == unlinked
+        assert np.array_equal(table.linked_rows[1], mask)
     if got is not None:
         # a hand-built table carries no mask, and no caller can give it one
         hand_built = LinkTable(got.links, got.unlinked)
@@ -129,6 +147,45 @@ def test_link_all_matches_the_rebuild_oracle(steps):
     text = graph.to_text()
     link_all(graph, model)
     assert graph.to_text() == text
+
+
+@pytest.mark.parametrize("write, full_passes", [
+    ("none", 0), ("tag", 0), ("untag", 0), ("relate", 0), ("merge", 0),
+    ("stray", 1), ("model", 1), ("declare", 1), ("snapshot", 1),
+])
+def test_a_write_relinks_locally(monkeypatch, write, full_passes):
+    graph = Graph(datasets.security_schema())
+    graph.assert_triple("aa", "type", "product")
+    graph.assert_triple("bb", "hasVulnerability", "zz")
+    model = model_over(WORDS)
+    link_all(graph, model)
+    calls = []
+    read_links = linking._read_links
+    monkeypatch.setattr(linking, "_read_links",
+                        lambda *args: calls.append(args) or read_links(*args))
+    if write == "tag":
+        graph.assert_triple("cc", "type", "product")
+    elif write == "untag":
+        graph.retract_triple("aa", "type", "product")
+    elif write == "relate":
+        graph.assert_triple("dd", "hasVulnerability", "ee")
+    elif write == "merge":
+        graph.merge_same_as("aa", "bb")
+    elif write == "stray":
+        graph.assert_triple("aa", HAS_VECTOR, Literal("bb"))
+    elif write == "model":   # equal to the first, but another object
+        model = model_over(WORDS)
+    elif write == "declare":
+        graph.schema.declare_class("aa")
+    elif write == "snapshot":
+        graph = graph.snapshot()
+    got = link_all(graph, model)
+    assert len(calls) == full_passes
+    want = table_from_graph(graph, model)
+    assert dict(got.links) == dict(want.links)
+    assert got.unlinked == want.unlinked
+    assert_carries_its_mask(got, model)
+    assert len(graph.triples_with(HAS_VECTOR)) == len(got.links)
 
 
 def search_oracle(term, class_filter, k, graph, model, table):
