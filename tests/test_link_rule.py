@@ -149,11 +149,12 @@ def test_link_all_matches_the_rebuild_oracle(steps):
     assert graph.to_text() == text
 
 
-@pytest.mark.parametrize("write, full_passes", [
-    ("none", 0), ("tag", 0), ("untag", 0), ("relate", 0), ("merge", 0),
-    ("stray", 1), ("model", 1), ("declare", 1), ("snapshot", 1),
+@pytest.mark.parametrize("step, full_passes", [
+    ("none", 0), ("tag cc product", 0), ("untag aa product", 0), ("relate dd ee", 0),
+    ("merge aa bb", 0), ("unlink aa", 0),
+    ("stray aa bb", 1), ("declare aa", 1), ("model", 1), ("snapshot", 1),
 ])
-def test_a_write_relinks_locally(monkeypatch, write, full_passes):
+def test_a_write_relinks_locally(monkeypatch, step, full_passes):
     graph = Graph(datasets.security_schema())
     graph.assert_triple("aa", "type", "product")
     graph.assert_triple("bb", "hasVulnerability", "zz")
@@ -163,22 +164,13 @@ def test_a_write_relinks_locally(monkeypatch, write, full_passes):
     read_links = linking._read_links
     monkeypatch.setattr(linking, "_read_links",
                         lambda *args: calls.append(args) or read_links(*args))
-    if write == "tag":
-        graph.assert_triple("cc", "type", "product")
-    elif write == "untag":
-        graph.retract_triple("aa", "type", "product")
-    elif write == "relate":
-        graph.assert_triple("dd", "hasVulnerability", "ee")
-    elif write == "merge":
-        graph.merge_same_as("aa", "bb")
-    elif write == "stray":
-        graph.assert_triple("aa", HAS_VECTOR, Literal("bb"))
-    elif write == "model":   # equal to the first, but another object
+    kind, *args = step.split()
+    if kind == "model":   # equal to the first, but another object
         model = model_over(WORDS)
-    elif write == "declare":
-        graph.schema.declare_class("aa")
-    elif write == "snapshot":
+    elif kind == "snapshot":
         graph = graph.snapshot()
+    elif kind != "none":
+        apply(graph, kind, *args)
     got = link_all(graph, model)
     assert len(calls) == full_passes
     want = table_from_graph(graph, model)
