@@ -25,6 +25,7 @@ from .errors import (
     SchemaError,
     UnknownClassError,
     UnknownRelationError,
+    VkgError,
 )
 
 #: Relations every graph understands without a schema declaration.
@@ -263,6 +264,8 @@ class Graph:
         self._refs: dict[str, int] = {}
         # raw nodes written since link_all last ran on this graph; None until it has
         self._touched: set[str] | None = None
+        # _by_o key -> type triples ever added to or removed from it (see class_stamp)
+        self._type_writes: dict[Term, int] = {}
 
     def __len__(self) -> int:
         return sum(map(len, self._by_p.values()))
@@ -332,7 +335,10 @@ class Graph:
             self._touched.update((s, o) if entity_object else (s,))
         root = self._same_root
         self._by_s.setdefault(root.get(s, s), {}).setdefault(p, set()).add(t)
-        self._by_o.setdefault(root.get(o, o) if entity_object else o, set()).add(t)
+        key = root.get(o, o) if entity_object else o
+        self._by_o.setdefault(key, set()).add(t)
+        if p == "type":
+            self._type_writes[key] = self._type_writes.get(key, 0) + 1
         if p not in ("subClassOf", "hasVector"):
             refs = self._refs
             refs[s] = refs.get(s, 0) + 1
@@ -354,13 +360,15 @@ class Graph:
         if self._touched is not None:
             self._touched.update((s, o) if entity_object else (s,))
         cs = self.canonical(s)
+        co = self.canonical(o) if entity_object else o
         predicates = self._by_s[cs]
-        for index, key in ((predicates, p), (self._by_p, p),
-                           (self._by_o, self.canonical(o) if entity_object else o)):
+        for index, key in ((predicates, p), (self._by_p, p), (self._by_o, co)):
             bucket = index[key]
             bucket.discard(t)
             if not bucket:
                 del index[key]
+        if p == "type":
+            self._type_writes[co] = self._type_writes.get(co, 0) + 1
         if not predicates:
             del self._by_s[cs]
         if p not in ("subClassOf", "hasVector"):
@@ -403,6 +411,10 @@ class Graph:
             for cls in (subject, obj):
                 if cls not in self.schema.classes:
                     raise UnknownClassError(f"subClassOf operand '{cls}' is not a declared class")
+        if predicate == "sameAs":
+            for cls in (subject, obj):
+                if cls in self.schema.classes:
+                    raise SchemaError(f"sameAs operand '{cls}' is a declared class")
         return Triple(subject, predicate, obj)
 
     # --- queries ------------------------------------------------------------
@@ -461,18 +473,29 @@ class Graph:
         obj = t.object if isinstance(t.object, Literal) else self.canonical(t.object)
         return Triple(self.canonical(t.subject), t.predicate, obj)
 
-    def instances_of(self, class_name: str) -> set[str]:
-        """Entities typed as the class or any transitive subclass of it."""
+    def _closure(self, class_name: str) -> set[str]:
+        """The class and its schema and asserted subClassOf descendants."""
         asserted = [
             (t.subject, t.object) for t in self._by_p.get("subClassOf", ())
             if isinstance(t.object, str)
         ]
+        return self.schema.subclasses(class_name, extra_edges=asserted)
+
+    def instances_of(self, class_name: str) -> set[str]:
+        """Canonical entities typed as the class or a subclass; see :meth:`class_stamp`."""
         out: set[str] = set()
-        for cls in self.schema.subclasses(class_name, extra_edges=asserted):
+        for cls in self._closure(class_name):
             for t in self._by_o.get(cls, ()):
                 if t.predicate == "type":
                     out.add(self.canonical(t.subject))
         return out
+
+    def class_stamp(self, class_name: str) -> tuple:
+        """Changes whenever ``instances_of(class_name)`` may: the count of merged
+        entities (each union adds one) and the type writes per bucket of the closure."""
+        writes = self._type_writes
+        return len(self._same_root), frozenset(
+            (cls, writes.get(cls, 0)) for cls in self._closure(class_name))
 
     def triples_with(self, predicate: str) -> list[Triple]:
         """The stored triples with the predicate, as asserted: not canonicalized, unsorted."""
@@ -570,6 +593,7 @@ class Graph:
         g._refs = dict(self._refs)
         g._same_root = dict(self._same_root)
         g._same_members = {r: list(m) for r, m in self._same_members.items()}
+        g._type_writes = dict(self._type_writes)
         return g
 
     def save(self, path) -> None:
@@ -619,7 +643,7 @@ class Graph:
                 obj = Literal(literal_obj.replace('\\"', '"').replace("\\\\", "\\"))
             try:
                 t = graph._check(subject, predicate, obj, node)
-            except (UnknownRelationError, UnknownClassError, ValueError) as exc:
+            except VkgError as exc:
                 raise GraphFormatError(str(exc), lineno) from exc
             graph._insert(t)
         return graph

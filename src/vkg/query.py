@@ -22,6 +22,7 @@ to that variable and unions the results.
 
 from __future__ import annotations
 
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -287,6 +288,11 @@ def decompose(ast: QueryAst) -> Plan:
 
 # --- VKG search ---------------------------------------------------------------
 
+# graph -> {class filter: ((model, Graph.class_stamp), read-only mask of the model
+# rows of the class's instances and the entities merged into them)}; see linking._LAST
+_CLASS_ROWS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 def vkg_search(term: str, class_filter: str | None, k: int, graph: Graph,
                model: EmbeddingModel, links: LinkTable) -> list[tuple[str, float]]:
     """Knowledge-graph-aided similarity search.
@@ -298,7 +304,8 @@ def vkg_search(term: str, class_filter: str | None, k: int, graph: Graph,
     representative, and each canonical entity appears once, with its best
     score.  As ``top_k`` never returns the query token, a search never
     returns the query's own sameAs class (the entity named by the term, with
-    everything merged into it).
+    everything merged into it).  A filter's class rows are cached per graph,
+    keyed on the model and ``graph.class_stamp(class_filter)``.
     """
     term = normalize(term)
     if k <= 0:
@@ -312,9 +319,16 @@ def vkg_search(term: str, class_filter: str | None, k: int, graph: Graph,
     else:
         if not graph.schema.has_class(class_filter):
             raise UnknownClassError(f"unknown class '{class_filter}'")
-        allowed = graph.instances_of(class_filter)   # canonical entities
-        allowed |= {e for e, c in merged.items() if c in allowed}
-        among = model.row_mask(allowed) & links.row_mask(model)
+        key = (model, graph.class_stamp(class_filter))
+        rows = _CLASS_ROWS.setdefault(graph, {})
+        cached = rows.get(class_filter)
+        if cached is None or cached[0] != key:   # an EmbeddingModel equals only itself
+            allowed = graph.instances_of(class_filter)   # canonical entities
+            allowed |= {e for e, c in merged.items() if c in allowed}
+            mask = model.row_mask(allowed)
+            mask.flags.writeable = False
+            cached = rows[class_filter] = (key, mask)
+        among = cached[1] & links.row_mask(model)
     among[model.row_mask(own)] = False
     # each hit token is its own entity; a merged-away one can take a scan
     # slot its canonical entity already holds, so widen the scan by one each

@@ -302,6 +302,22 @@ class TestSameAs:
         assert graph.instances_of("product") == {"n0"}
         assert state == before
 
+    def test_a_class_is_never_merged(self):
+        schema = Schema.parse("[classes]\nproduct\nsoftware\n[subclass]\nsoftware product\n")
+        graph = Graph(schema)
+        graph.assert_triple("a", "type", "software")
+        graph.assert_triple("b", "type", "product")
+        text = graph.to_text()
+        for a, b in [("software", "product"), ("product", "software"), ("a", "software")]:
+            with pytest.raises(SchemaError, match="is a declared class$"):
+                graph.merge_same_as(a, b)
+        assert graph.to_text() == text
+        assert graph.instances_of("software") == {"a"}
+        assert graph.instances_of("product") == {"a", "b"}
+        with pytest.raises(GraphFormatError,
+                           match="^line 3: sameAs operand 'software' is a declared class$"):
+            Graph.parse(text + "<software> <sameAs> <product> .\n", schema)
+
     def test_results_invariant_under_renaming(self, schema):
         left = Graph(schema)
         left.assert_triple("a_node", "hasVulnerability", "vx")

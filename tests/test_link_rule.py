@@ -11,20 +11,24 @@ used with another model, or built by hand without a mask, must search as a
 fresh one does.  After a first ``link_all``, a write is relinked by
 revisiting the nodes it touched, without a full pass.
 ``vkg_search``, which reads identity links only, is checked against a
-full-vocabulary scan over random merges and tied vectors.
+full-vocabulary scan over random merges and tied vectors.  Its class rows,
+cached per graph, must search as rows built afresh do after any write.
 """
 
 from __future__ import annotations
 
+import weakref
+from contextlib import suppress
 from types import MappingProxyType
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from vkg import datasets, linking
+from vkg import datasets, linking, query
 from vkg.embedding import EmbeddingModel
+from vkg.errors import SchemaError, VkgError
 from vkg.kg import Graph, Literal
 from vkg.linking import HAS_VECTOR, LinkTable, link_all, table_from_graph
 from vkg.query import vkg_search
@@ -82,11 +86,21 @@ def apply(graph: Graph, kind: str, a, b=None) -> None:
     elif kind == "stray":
         graph.assert_triple(a, HAS_VECTOR, Literal(b))
     elif kind == "merge":
-        graph.merge_same_as(a, b)
+        if {a, b} & graph.schema.classes:   # a class is never merged
+            with pytest.raises(SchemaError):
+                graph.merge_same_as(a, b)
+        else:
+            graph.merge_same_as(a, b)
     elif kind == "unlink":
         graph.retract_triple(a, HAS_VECTOR, Literal(a))
     elif kind == "declare":
         graph.schema.declare_class(a)
+    elif kind == "declare_subclass":
+        graph.schema.declare_subclass(a, b)
+    elif kind == "subclass":
+        graph.assert_triple(a, "subClassOf", b)
+    elif kind == "unsubclass":
+        graph.retract_triple(a, "subClassOf", b)
 
 
 def searches(graph: Graph, model: EmbeddingModel, table: LinkTable):
@@ -223,3 +237,67 @@ def test_search_matches_a_full_scan(tags, merges, coords, term, class_filter, k)
         graph.merge_same_as(a, b)
     assert (vkg_search(term, class_filter, k, graph, model, table)
             == search_oracle(term, class_filter, k, graph, model, table))
+
+
+# --- class rows cached per graph ---------------------------------------------
+
+VOCAB_CLASSES = ["product", "software", "vulnerability", "attack"]
+cls = st.sampled_from(VOCAB_CLASSES + WORDS)   # a word is a class once declared
+write = st.one_of(
+    st.tuples(st.just("tag"), word, cls),
+    st.tuples(st.just("untag"), word, cls),
+    st.tuples(st.just("subclass"), cls, cls),
+    st.tuples(st.just("unsubclass"), cls, cls),
+    st.tuples(st.just("merge"), word, word),
+    st.tuples(st.just("declare"), word),
+    st.tuples(st.just("declare_subclass"), cls, cls),
+    st.tuples(st.just("link")),
+    st.tuples(st.just("snapshot")),
+    st.tuples(st.just("model"), st.frozensets(st.sampled_from(VOCAB), min_size=1)),
+)
+
+
+def uncached_search(*args):
+    """vkg_search with an empty class-row cache, which it leaves as it was."""
+    saved, query._CLASS_ROWS = query._CLASS_ROWS, weakref.WeakKeyDictionary()
+    try:
+        return vkg_search(*args)
+    finally:
+        query._CLASS_ROWS = saved
+
+
+def assert_cache_is_fresh(graph, model, table):
+    for class_filter in sorted(graph.schema.classes & set(VOCAB_CLASSES + WORDS)):
+        for term in {model.tokens[0], model.tokens[-1]}:
+            for k in (2, len(model)):
+                args = (term, class_filter, k, graph, model, table)
+                assert repr(vkg_search(*args)) == repr(uncached_search(*args)), args
+
+
+@settings(FUZZ, max_examples=100)
+@given(steps=st.lists(write, max_size=20))
+# an instance tagged with a class that is sameAs-merged into another lands in the
+# other's bucket; a merge moves an entity into a filter's class
+@example(steps=[("merge", "aa", "bb"), ("declare", "aa"), ("declare", "bb"),
+                ("tag", "ee", "bb"), ("link",)])
+@example(steps=[("merge", "cc", "dd")])
+def test_cached_class_rows_search_as_fresh_ones(steps):
+    graph = Graph(datasets.security_schema())
+    for w, c in [("aa", "product"), ("bb", "vulnerability"), ("cc", "software"),
+                 ("dd", "attack")]:
+        graph.assert_triple(w, "type", c)
+    model = model_over(VOCAB)
+    table = link_all(graph, model)
+    assert_cache_is_fresh(graph, model, table)
+    for kind, *args in steps:
+        if kind == "link":
+            table = link_all(graph, model)
+        elif kind == "snapshot":
+            graph = graph.snapshot()
+        elif kind == "model":
+            model = model_over(args[0])
+        else:
+            # refused: a write naming an undeclared class, a subclass cycle
+            with suppress(VkgError):
+                apply(graph, kind, *args)
+        assert_cache_is_fresh(graph, model, table)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import gc
 import sys
 from pathlib import Path
 
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 from helpers import random_ast
 
-from vkg import linking
+from vkg import linking, query
 from vkg.embedding import EmbeddingModel
 from vkg.errors import (
     DuplicateVariableError,
@@ -554,6 +555,41 @@ class TestParallelExecution:
         assert state == before
         expected = execute(plan, graph, model, table).values
         assert all(values == expected for values in runs)
+
+    def test_a_cold_class_cache_under_parallel_execute(self, schema):
+        plan = decompose(parse("SEARCH 'mysql' CLASS vulnerability TOPK 3 AS A; "
+                               "SEARCH 'nginx_server' CLASS vulnerability TOPK 3 AS B"))
+        assert plan.waves == ((0, 1),)
+        expected = execute(plan, *alert_fixture(schema)).values
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                graph, model, table = alert_fixture(schema)   # no cached rows yet
+                assert execute(plan, graph, model, table, parallel=True).values == expected
+                assert list(query._CLASS_ROWS[graph]) == ["vulnerability"]
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_cached_class_rows_stay_one_per_filter_and_go_with_their_graph(self, schema):
+        graph, model, table = alert_fixture(schema)
+        filters = ["vulnerability", "product", "software"]
+        for i in range(200):
+            word, cls = [("sql_injection", "product"), ("nginx_server", "vulnerability"),
+                         ("memory_corruption", "software")][i // 2 % 3]
+            if i % 2 == 0:
+                graph.assert_triple(word, "type", cls)
+            else:
+                graph.retract_triple(word, "type", cls)
+            table = link_all(graph, model)
+            for class_filter in filters:
+                vkg_search("mysql", class_filter, 3, graph, model, table)
+        assert sorted(query._CLASS_ROWS[graph]) == sorted(filters)
+        (key,) = [ref for ref in query._CLASS_ROWS.keyrefs() if ref() is graph]
+        del graph
+        gc.collect()
+        assert key() is None
+        assert all(ref is not key for ref in query._CLASS_ROWS.keyrefs())
 
     def test_parallel_error_comes_from_the_earliest_failing_wave(self, schema):
         graph, model, table = alert_fixture(schema)
