@@ -387,7 +387,7 @@ class Graph:
         return True
 
     def merge_same_as(self, a: str, b: str) -> None:
-        """Assert ``a sameAs b``; afterwards the two are interchangeable in queries."""
+        """Assert ``a sameAs b``, neither a declared class; then the two are interchangeable."""
         self.assert_triple(a, "sameAs", b)
 
     def make_triple(self, subject: str, predicate: str, obj: Term) -> Triple:

@@ -241,8 +241,8 @@ def test_search_matches_a_full_scan(tags, merges, coords, term, class_filter, k)
 
 # --- class rows cached per graph ---------------------------------------------
 
-VOCAB_CLASSES = ["product", "software", "vulnerability", "attack"]
-cls = st.sampled_from(VOCAB_CLASSES + WORDS)   # a word is a class once declared
+SCHEMA_CLASSES = ["product", "software", "vulnerability", "attack"]
+cls = st.sampled_from(SCHEMA_CLASSES + WORDS)   # a word is a class once declared
 write = st.one_of(
     st.tuples(st.just("tag"), word, cls),
     st.tuples(st.just("untag"), word, cls),
@@ -267,7 +267,7 @@ def uncached_search(*args):
 
 
 def assert_cache_is_fresh(graph, model, table):
-    for class_filter in sorted(graph.schema.classes & set(VOCAB_CLASSES + WORDS)):
+    for class_filter in sorted(graph.schema.classes & set(SCHEMA_CLASSES + WORDS)):
         for term in {model.tokens[0], model.tokens[-1]}:
             for k in (2, len(model)):
                 args = (term, class_filter, k, graph, model, table)
