@@ -98,16 +98,41 @@ def rank_graph(graph: Graph, query: str, k: int,
                universe: Sequence[str] | None = None) -> list[str]:
     """Entities ranked by Jaccard graph similarity to the query.
 
-    Descending score, ties by name.  Only the entities that share a
-    (predicate, neighbor) pair with the query are scored
-    (``Graph.similarities``); every other member of the universe scores 0.0.
+    Descending score, ties by name.  A member sharing no (predicate,
+    neighbor) pair with the query scores 0.0.  The others are scored in
+    descending order of c, the number of the query's pairs pq they share
+    (``Graph._overlaps``); c / len(pq) bounds every score not yet computed,
+    so the walk stops once k members score strictly above the next bound.
     """
     if universe is None:
         universe = sorted(graph.entities())
-    score, resolve = graph.similarities(query).get, graph.resolve
-    ranked = heapq.nsmallest(
-        k, ((-score(resolve(other), 0.0), other) for other in universe if other != query))
-    return [entity for _, entity in ranked]
+    c = graph.resolve(query)
+    if k <= 0:
+        return []
+    pq, counts = graph._overlaps(c)
+    ranked, zeros = [], []              # (-score, member)
+    groups: dict[str, list[str]] = {}   # canonical -> its members in the universe
+    for other in universe:
+        if other != query:
+            oc = graph.resolve(other)
+            if oc == c:
+                ranked.append((-1.0, other))
+            elif oc in counts:
+                groups.setdefault(oc, []).append(other)
+            else:
+                zeros.append((0.0, other))
+    best = [1.0] * min(k, len(ranked))  # min-heap of the k highest scores so far
+    for oc in sorted(groups, key=counts.__getitem__, reverse=True):
+        n = counts[oc]
+        if len(best) == k and best[0] > n / len(pq):
+            break
+        score = n / (len(pq) + len(graph._pairs(oc)) - n)
+        for other in groups[oc]:
+            ranked.append((-score, other))
+            (heapq.heappush if len(best) < k else heapq.heappushpop)(best, score)
+    else:
+        ranked += zeros
+    return [other for _, other in heapq.nsmallest(k, ranked)]
 
 
 def rank_vector(model: EmbeddingModel, query: str, k: int) -> list[str]:

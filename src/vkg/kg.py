@@ -15,6 +15,7 @@ the original keeps mutating.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from itertools import chain
 from typing import Callable, Iterable, Iterator, NamedTuple, Union
 
@@ -403,6 +404,9 @@ class Graph:
             if "".join(obj.value.splitlines()) != obj.value:
                 raise GraphFormatError(
                     f"literal {obj.value!r} contains a line break")
+            if predicate in ("type", "subClassOf", "sameAs"):
+                error = SchemaError if predicate == "sameAs" else UnknownClassError
+                raise error(f"{predicate} object {obj.value!r} is a literal")
             return Triple(subject, predicate, obj)
         obj = node(obj)
         if predicate == "type" and obj not in self.schema.classes:
@@ -548,32 +552,39 @@ class Graph:
             return 0.0
         return len(pa & pb) / len(pa | pb)
 
+    def _overlaps(self, c: str) -> tuple[set[tuple[str, str]], Counter[str]]:
+        """The canonical entity's pairs, and per other node how many it shares.
+
+        A node holds (p, n) through ``node p n`` in the by-object index of n
+        or ``n p node`` in the by-subject index of n under p; it counts once
+        per pair, however many triples or merged neighbours give it the pair.
+        """
+        pq = self._pairs(c)
+        root = self._same_root
+        counts: Counter[str] = Counter()
+        for p, n in pq:
+            holders = {root.get(o, o) for _, _, o in self._by_s.get(n, {}).get(p, ())
+                       if isinstance(o, str)}
+            if p != "hasVector":   # no pair of _pairs is a sameAs pair
+                holders.update(root.get(s, s) for s, q, _ in self._by_o.get(n, ()) if q == p)
+            counts.update(holders)
+        del counts[c]
+        return pq, counts
+
     def similarities(self, entity: str) -> dict[str, float]:
         """graph_similarity to the entity of every node it shares a pair with.
 
         Keyed by canonical representative, the entity's own at 1.0.  Every
         node missing from the result scores 0.0: it shares no (predicate,
-        neighbor) pair with the entity.  Only candidates are scored, and
-        the indexes find them: a node holds (p, n) through a triple
-        ``node p n`` in the by-object index of n, or through ``n p node`` in
-        the by-subject index of n under predicate p.
+        neighbor) pair with the entity.  Only the nodes that :meth:`_overlaps`
+        counts are scored, as ``c / (len(pq) + len(po) - c)`` for an overlap
+        of c pairs: the integers of ``len(pq & po) / len(pq | po)``.
         """
         c = self.resolve(entity)
-        pq = self._pairs(c)
-        candidates: set[str] = set()
-        for p, n in pq:
-            if p not in ("sameAs", "hasVector"):
-                for t in self._by_o.get(n, ()):
-                    if t.predicate == p:
-                        candidates.add(self.canonical(t.subject))
-            for t in self._by_s.get(n, {}).get(p, ()):
-                if not isinstance(t.object, Literal):
-                    candidates.add(self.canonical(t.object))
-        candidates.discard(c)
+        pq, counts = self._overlaps(c)
         scores = {c: 1.0}
-        for other in candidates:
-            po = self._pairs(other)
-            scores[other] = len(pq & po) / len(pq | po)
+        for other, n in counts.items():
+            scores[other] = n / (len(pq) + len(self._pairs(other)) - n)
         return scores
 
     # --- persistence ----------------------------------------------------

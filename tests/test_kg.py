@@ -74,6 +74,22 @@ class TestAssert:
         with pytest.raises(UnknownClassError):
             graph.assert_triple("milo", "type", "dog")
 
+    @pytest.mark.parametrize("predicate, error", [
+        ("type", UnknownClassError), ("subClassOf", UnknownClassError),
+        ("sameAs", SchemaError)])
+    def test_literal_class_or_sameAs_object_refused(self, predicate, error):
+        graph = Graph(pet_schema())
+        graph.assert_triple("tom", "hasPet", "milo")
+        with pytest.raises(error, match=f"^{predicate} object 'cat' is a literal$"):
+            graph.assert_triple("x", predicate, Literal("cat"))
+        with pytest.raises(error):
+            graph.make_triple("x", predicate, Literal("cat"))
+        assert graph.to_text() == "<tom> <hasPet> <milo> .\n"
+        assert graph.entities() == {"tom", "milo"}
+        with pytest.raises(GraphFormatError,
+                           match=f"^line 2: {predicate} object 'cat' is a literal$"):
+            Graph.parse(f'<tom> <hasPet> <milo> .\n<x> <{predicate}> "cat" .\n', pet_schema())
+
     def test_advisory_vulnerabilities(self, advisory_graph):
         hits = advisory_graph.match_pattern(
             "Microsoft_Internet_Explorer", "hasVulnerability", None)

@@ -159,3 +159,73 @@ def test_merged_members_tie_with_the_query_at_one():
     assert rank_graph(graph, "aa", 10, universe) == ["Aa", "dd", "bb", "cc", "zz"]
     assert rank_graph(graph, "aa", 10, universe) == oracle_rank(graph, "aa", 10, universe)
     assert rank_graph(graph, "zz", 2) == oracle_rank(graph, "zz", 2) == ["aa", "bb"]
+
+
+def counting_pairs(monkeypatch) -> list[str]:
+    """Record every canonical ``Graph._pairs`` is called on."""
+    calls: list[str] = []
+    pairs = Graph._pairs
+
+    def counted(self, c):
+        calls.append(c)
+        return pairs(self, c)
+
+    monkeypatch.setattr(Graph, "_pairs", counted)
+    return calls
+
+
+def test_the_bound_stops_the_walk_in_a_large_class(monkeypatch):
+    # every product shares the query's (type, product) pair; three also
+    # share its vulnerabilities, and only they can reach the top 3
+    graph = Graph(datasets.security_schema())
+    for i in range(60):
+        graph.assert_triple(f"p{i:02d}", "type", "product")
+        graph.assert_triple(f"p{i:02d}", "hasVulnerability", f"w{i:02d}")
+    for e in ["q", "p07", "p21", "p42"]:
+        graph.assert_triple(e, "type", "product")
+        for v in ["v1", "v2", "v3"]:
+            graph.assert_triple(e, "hasVulnerability", v)
+    candidates = set(graph.similarities("q")) - {"q"}
+    assert len(candidates) == 60
+    calls = counting_pairs(monkeypatch)
+    assert rank_graph(graph, "q", 3) == ["p07", "p21", "p42"]
+    assert len(calls) == 4 < len(candidates)   # the query and the three
+    for k in [1, 3, 4, 10, 80]:
+        assert rank_graph(graph, "q", k) == oracle_rank(graph, "q", k)
+
+
+def test_a_member_at_the_bound_still_enters_by_name():
+    # len(pq) = 4; "zb" shares 2 of its 6 pairs (2/8) and "aa" is unscored
+    # when zb is, with bound 1/4 equal to its score: the walk must not stop
+    graph = Graph(datasets.security_schema())
+    for v in ["v1", "v2", "v3"]:
+        graph.assert_triple("q", "hasVulnerability", v)
+    graph.assert_triple("q", "type", "product")
+    graph.assert_triple("zb", "type", "product")
+    for v in ["v1", "w1", "w2", "w3", "w4"]:
+        graph.assert_triple("zb", "hasVulnerability", v)
+    graph.assert_triple("aa", "type", "product")
+    assert graph.graph_similarity("q", "zb") == graph.graph_similarity("q", "aa") == 0.25
+    assert rank_graph(graph, "q", 1) == oracle_rank(graph, "q", 1) == ["aa"]
+    assert rank_graph(graph, "q", 2) == oracle_rank(graph, "q", 2) == ["aa", "zb"]
+
+
+def test_edge_cases_of_k_and_the_universe(monkeypatch):
+    graph = Graph(datasets.security_schema())
+    for s, p, o in [("aa", "hasVulnerability", "vv"), ("bb", "hasVulnerability", "vv"),
+                    ("bb", "hasAttack", "xx"), ("cc", "hasAttack", "xx"),
+                    ("dd", "hasVulnerability", "ww")]:
+        graph.assert_triple(s, p, o)
+    graph.merge_same_as("aa", "ee")
+    calls = counting_pairs(monkeypatch)
+    assert rank_graph(graph, "aa", 0) == [] and rank_graph(graph, "aa", -1) == []
+    assert calls == []
+    universes = [None, ["bb", "bb", "cc", "bb"], ["ee", "AA", "aa", " Ee ", "bb", "zz"],
+                 ["zz", "dd", "cc", "ww"], []]
+    for universe in universes:
+        for k in range(8):   # past the positive scores: the zero-score fill
+            assert (rank_graph(graph, "aa", k, universe)
+                    == oracle_rank(graph, "aa", k, universe)), (universe, k)
+    assert rank_graph(graph, "aa", 4, universes[1]) == ["bb", "bb", "bb", "cc"]
+    assert rank_graph(graph, "aa", 9, universes[2]) == [" Ee ", "AA", "ee", "bb", "zz"]
+    assert rank_graph(graph, "aa", 9, universes[3]) == ["cc", "dd", "ww", "zz"]
