@@ -103,34 +103,43 @@ def rank_graph(graph: Graph, query: str, k: int,
     descending order of c, the number of the query's pairs pq they share
     (``Graph._overlaps``); c / len(pq) bounds every score not yet computed,
     so the walk stops once k members score strictly above the next bound.
+    Without a universe every entity is a member: a counted node's members
+    are the entities of its sameAs class (``Graph._entity_members``), and
+    ``Graph.entities`` is read for the zero-score fill only when the walk
+    never stops.
     """
-    if universe is None:
-        universe = sorted(graph.entities())
     c = graph.resolve(query)
     if k <= 0:
         return []
     pq, counts = graph._overlaps(c)
-    ranked, zeros = [], []              # (-score, member)
-    groups: dict[str, list[str]] = {}   # canonical -> its members in the universe
-    for other in universe:
-        if other != query:
+    if universe is None:
+        members, zeros = graph._entity_members, None
+    else:
+        groups: dict[str, list[str]] = {c: []}   # c and counted canonicals -> members
+        zeros = []
+        for other in universe:
             oc = graph.resolve(other)
-            if oc == c:
-                ranked.append((-1.0, other))
-            elif oc in counts:
+            if oc == c or oc in counts:
                 groups.setdefault(oc, []).append(other)
             else:
                 zeros.append((0.0, other))
+        members = groups.get
+    ranked = [(-1.0, other) for other in members(c) if other != query]  # (-score, member)
     best = [1.0] * min(k, len(ranked))  # min-heap of the k highest scores so far
-    for oc in sorted(groups, key=counts.__getitem__, reverse=True):
+    for oc in sorted(counts, key=counts.__getitem__, reverse=True):
         n = counts[oc]
         if len(best) == k and best[0] > n / len(pq):
             break
-        score = n / (len(pq) + len(graph._pairs(oc)) - n)
-        for other in groups[oc]:
-            ranked.append((-score, other))
-            (heapq.heappush if len(best) < k else heapq.heappushpop)(best, score)
+        group = members(oc)
+        if group:
+            score = n / (len(pq) + len(graph._pairs(oc)) - n)
+            for other in group:
+                ranked.append((-score, other))
+                (heapq.heappush if len(best) < k else heapq.heappushpop)(best, score)
     else:
+        if zeros is None:   # every entity the walk did not score
+            zeros = [(0.0, other) for other in
+                     graph.entities() - {other for _, other in ranked} - {query}]
         ranked += zeros
     return [other for _, other in heapq.nsmallest(k, ranked)]
 
@@ -178,12 +187,11 @@ def evaluate_backend(backend: str, groups: Sequence[SimilarityGroup],
     skipped: list[tuple[str, str]] = []
     start = time.perf_counter()
     if backend == "graph":
-        universe = sorted(graph.entities())
-        known, where = set(universe), "graph"
+        known, where = graph.entities(), "graph"
     else:
         known, where = model, "vocabulary"
     rank = {
-        "graph": lambda member, kind: rank_graph(graph, member, k, universe),
+        "graph": lambda member, kind: rank_graph(graph, member, k),
         "vector": lambda member, kind: rank_vector(model, member, k),
         "vkg": lambda member, kind: rank_vkg(graph, model, links, member, k,
                                              kind_to_class.get(kind)),

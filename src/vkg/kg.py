@@ -571,6 +571,15 @@ class Graph:
         del counts[c]
         return pq, counts
 
+    def _entity_members(self, c: str) -> list[str]:
+        """The raw nodes of :meth:`entities` whose canonical is ``c``: the
+        members of its sameAs class, itself included, that are entities."""
+        refs, classes = self._refs, self.schema.classes
+        merged = self._same_members.get(c)
+        if merged is None:
+            return [c] if c in refs and c not in classes else []
+        return [e for e in (c, *merged) if e in refs and e not in classes]
+
     def similarities(self, entity: str) -> dict[str, float]:
         """graph_similarity to the entity of every node it shares a pair with.
 

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import random
+
 import numpy as np
 import pytest
 
-from vkg.datasets import MIXED_TRAINING
+from vkg.datasets import MIXED_TRAINING, security_schema
 from vkg.embedding import EmbeddingModel
 from vkg.errors import CorpusFormatError, EmptyRelevantSetError
 from vkg.evaluation import (
@@ -14,6 +16,7 @@ from vkg.evaluation import (
     evaluate_all,
     evaluate_backend,
     load_groups,
+    rank_graph,
     rank_vector,
     rank_vkg,
     render_report,
@@ -119,6 +122,82 @@ class TestEvaluateBackend:
             restricted = [tok for tok in rank_vector(model, query, len(model))
                           if tok in linked][:10]
             assert unfiltered == restricted
+
+
+def explicit_universe_map(graph, groups, k):
+    """The graph backend's MAP with every ranking over sorted(graph.entities())."""
+    universe = sorted(graph.entities())
+    per_group = []
+    for group in groups:
+        aps = [average_precision(rank_graph(graph, member, k, universe),
+                                 set(group.members) - {member})
+               for member in group.members if member in universe]
+        if aps:
+            per_group.append(sum(aps) / len(aps))
+    return sum(per_group) / len(per_group) if per_group else 0.0
+
+
+def random_merged_graph(seed):
+    rng = random.Random(seed)
+    graph = Graph(security_schema())
+    names = [f"e{i:02d}" for i in range(40)]
+    for _ in range(150):
+        if rng.random() < 0.3:
+            graph.assert_triple(rng.choice(names), "type",
+                                rng.choice(["product", "software", "vulnerability"]))
+        else:
+            graph.assert_triple(rng.choice(names), rng.choice(["hasVulnerability", "hasAttack"]),
+                                rng.choice(names))
+    for _ in range(6):
+        graph.merge_same_as(rng.choice(names), rng.choice(names))
+    for t in rng.sample(sorted(graph), 30):   # roots may lose their last triple
+        graph.retract_triple(*t)
+    groups = [SimilarityGroup(f"g{j}", "product", tuple(rng.sample(names, 4)))
+              for j in range(8)]
+    return graph, groups
+
+
+class TestGraphBackend:
+    def test_map_matches_an_explicit_universe_on_the_mixed_corpus(self, mixed_fixture,
+                                                                 mixed_built):
+        graph, _ = mixed_built
+        for k in (3, 10, 50):
+            report = evaluate_backend("graph", mixed_fixture.groups, graph, None, None, k)
+            assert report.map_score == explicit_universe_map(graph, mixed_fixture.groups, k)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_map_matches_an_explicit_universe_on_merged_graphs(self, seed):
+        graph, groups = random_merged_graph(seed)
+        assert graph.merged()
+        for k in (3, 10):
+            report = evaluate_backend("graph", groups, graph, None, None, k)
+            assert report.map_score == explicit_universe_map(graph, groups, k)
+
+    def test_resolves_the_queries_not_the_universe(self, monkeypatch):
+        # 500 products in groups of four that share a vulnerability: the
+        # three others of a query's group reach the top 3 above the bound
+        # 1/3 of every product that shares only the (type, product) pair
+        graph = Graph(security_schema())
+        for i in range(500):
+            graph.assert_triple(f"p{i:03d}", "type", "product")
+            graph.assert_triple(f"p{i:03d}", "hasVulnerability", f"w{i:03d}")
+            graph.assert_triple(f"p{i:03d}", "hasVulnerability", f"v{i // 4:03d}")
+        groups = [SimilarityGroup(f"g{j}", "product",
+                                  tuple(f"p{i:03d}" for i in range(4 * j, 4 * j + 4)))
+                  for j in range(0, 125, 12)]
+        calls = {"resolve": 0, "_pairs": 0}
+        for name in calls:
+            method = getattr(Graph, name)
+
+            def counted(self, arg, name=name, method=method):
+                calls[name] += 1
+                return method(self, arg)
+
+            monkeypatch.setattr(Graph, name, counted)
+        report = evaluate_backend("graph", groups, graph, None, None, k=3)
+        queries = sum(len(g.members) for g in groups)
+        assert report.map_score == 1.0 and not report.skipped
+        assert calls["resolve"] <= queries + calls["_pairs"] < 500
 
 
 class TestWins:

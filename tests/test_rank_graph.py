@@ -229,3 +229,26 @@ def test_edge_cases_of_k_and_the_universe(monkeypatch):
     assert rank_graph(graph, "aa", 4, universes[1]) == ["bb", "bb", "bb", "cc"]
     assert rank_graph(graph, "aa", 9, universes[2]) == [" Ee ", "AA", "ee", "bb", "zz"]
     assert rank_graph(graph, "aa", 9, universes[3]) == ["cc", "dd", "ww", "zz"]
+
+
+def test_every_entity_universe_skips_counted_roots_and_classes():
+    # "aa" stays the root of zb's sameAs class after its last triple is
+    # retracted, and the class name "product" holds a pair as a subject:
+    # _overlaps counts both, and neither is an entity to rank
+    graph = Graph(datasets.security_schema())
+    for s, p, o in [("q", "hasVulnerability", "v1"), ("q", "hasAttack", "x1"),
+                    ("aa", "hasVulnerability", "v1"), ("zb", "hasAttack", "x1"),
+                    ("product", "hasVulnerability", "v1"), ("cc", "hasAttack", "x2")]:
+        graph.assert_triple(s, p, o)
+    graph.merge_same_as("aa", "zb")
+    graph.retract_triple("aa", "sameAs", "zb")
+    graph.retract_triple("aa", "hasVulnerability", "v1")
+    assert graph.canonical("zb") == "aa" and "aa" not in graph.entities()
+    assert {"aa", "product"} <= graph._overlaps("q")[1].keys()
+    assert graph._entity_members("aa") == ["zb"] and graph._entity_members("product") == []
+    for query in ["q", "zb", "aa", "Q"]:
+        for k in range(8):   # up to past the zero-score fill
+            assert (rank_graph(graph, query, k)
+                    == rank_graph(graph, query, k, sorted(graph.entities()))
+                    == oracle_rank(graph, query, k)), (query, k)
+    assert rank_graph(graph, "q", 7) == ["zb", "cc", "v1", "x1", "x2"]
