@@ -101,7 +101,8 @@ def rank_graph(graph: Graph, query: str, k: int,
     Descending score, ties by name.  A member sharing no (predicate,
     neighbor) pair with the query scores 0.0.  The others are scored in
     descending order of c, the number of the query's pairs pq they share
-    (``Graph._overlaps``); c / len(pq) bounds every score not yet computed,
+    (``Graph._overlaps``), each from c and its pair count
+    (``Graph._pair_count``); c / len(pq) bounds every score not yet computed,
     so the walk stops once k members score strictly above the next bound.
     Without a universe every entity is a member: a counted node's members
     are the entities of its sameAs class (``Graph._entity_members``), and
@@ -132,7 +133,7 @@ def rank_graph(graph: Graph, query: str, k: int,
             break
         group = members(oc)
         if group:
-            score = n / (len(pq) + len(graph._pairs(oc)) - n)
+            score = n / (len(pq) + graph._pair_count(oc) - n)
             for other in group:
                 ranked.append((-score, other))
                 (heapq.heappush if len(best) < k else heapq.heappushpop)(best, score)

@@ -267,6 +267,8 @@ class Graph:
         self._touched: set[str] | None = None
         # _by_o key -> type triples ever added to or removed from it (see class_stamp)
         self._type_writes: dict[Term, int] = {}
+        # canonical -> len(_pairs(c)), filled by reads; a write drops each entry it may change
+        self._pair_counts: dict[str, int] = {}
 
     def __len__(self) -> int:
         return sum(map(len, self._by_p.values()))
@@ -296,6 +298,16 @@ class Graph:
         if ra == rb:
             return
         winner, loser = (ra, rb) if ra < rb else (rb, ra)
+        # renaming the loser renames a pair of each of its neighbours; the
+        # sameAs _insert calling this has dropped the winner's and loser's counts
+        counts = self._pair_counts
+        if counts:
+            root = self._same_root
+            for bucket in self._by_s.get(loser, {}).values():
+                for _, _, o in bucket:
+                    counts.pop(root.get(o, o), None)
+            for s, _, _ in self._by_o.get(loser, ()):
+                counts.pop(root.get(s, s), None)
         # every member of the loser's class points straight at the winner,
         # so reads never need to walk or compress a path
         moved = self._same_members.pop(loser, []) + [loser]
@@ -338,6 +350,9 @@ class Graph:
         self._by_s.setdefault(root.get(s, s), {}).setdefault(p, set()).add(t)
         key = root.get(o, o) if entity_object else o
         self._by_o.setdefault(key, set()).add(t)
+        if self._pair_counts:
+            self._pair_counts.pop(root.get(s, s), None)
+            self._pair_counts.pop(key, None)
         if p == "type":
             self._type_writes[key] = self._type_writes.get(key, 0) + 1
         if p not in ("subClassOf", "hasVector"):
@@ -370,6 +385,9 @@ class Graph:
                 del index[key]
         if p == "type":
             self._type_writes[co] = self._type_writes.get(co, 0) + 1
+        if self._pair_counts:
+            self._pair_counts.pop(cs, None)
+            self._pair_counts.pop(co, None)
         if not predicates:
             del self._by_s[cs]
         if p not in ("subClassOf", "hasVector"):
@@ -538,6 +556,13 @@ class Graph:
                 pairs.add((t.predicate, self.canonical(t.subject)))
         return pairs
 
+    def _pair_count(self, c: str) -> int:
+        """``len(self._pairs(c))`` of a canonical entity, kept until a write drops it."""
+        n = self._pair_counts.get(c)
+        if n is None:
+            n = self._pair_counts[c] = len(self._pairs(c))
+        return n
+
     def graph_similarity(self, a: str, b: str) -> float:
         """Jaccard overlap of the two entities' (predicate, neighbor) sets.
 
@@ -603,7 +628,8 @@ class Graph:
 
         The indexes, reference counts and sameAs classes are copied as they
         are, so a merge whose sameAs triple was retracted survives.  The copy
-        records no touched nodes: its first link_all reads every link.
+        records no touched nodes and no pair counts: its first link_all reads
+        every link, and its reads count pairs afresh.
         """
         g = Graph(self.schema)
         g._by_s = {s: {p: set(b) for p, b in preds.items()}
