@@ -13,7 +13,6 @@ from __future__ import annotations
 import heapq
 import json
 import logging
-import math
 import statistics
 import time
 from dataclasses import dataclass, replace
@@ -239,16 +238,12 @@ def evaluate_all(groups: Sequence[SimilarityGroup], graph: Graph,
 
 # --- timing ---------------------------------------------------------------------
 
-TIMING_FLOOR_S = 1e-3    # a timed sample shorter than this is too noisy to compare
-MAX_PASSES = 8           # passes per timed sample, at most
-
-
 @dataclass
 class TimingResult:
-    vector_median: float   # per pass over all member queries
+    vector_median: float
     graph_median: float
     ratio: float           # graph / vector; > 1 means the vector side is faster
-    below_floor: bool      # either median sample under 1 ms: too small to compare
+    below_floor: bool      # either median under 1 ms: too small to compare
     runs: int
 
 
@@ -257,10 +252,7 @@ def timing_comparison(groups: Sequence[SimilarityGroup], graph: Graph,
                       runs: int = 5) -> TimingResult:
     """Median wall time of all member queries per backend, vector vs graph.
 
-    One warm-up pass per backend is discarded.  It also sets how many passes
-    each timed sample holds: enough for about 1.5 times the 1 ms floor, at most
-    ``MAX_PASSES``, since one pass over a small corpus can be shorter than
-    the floor.  The medians are per pass.  A median sample under 1 ms sets
+    One warm-up run per backend is discarded.  Medians under 1 ms set
     ``below_floor``; the ratio is then too noisy to assert anything.
     """
     queries = [m for g in groups for m in g.members if m in model]
@@ -276,34 +268,24 @@ def timing_comparison(groups: Sequence[SimilarityGroup], graph: Graph,
         for q in graph_queries:
             rank_graph(graph, q, k, universe)
 
-    def timed(one_pass, passes: int) -> float:
-        t0 = time.perf_counter()
-        for _ in range(passes):
-            one_pass()
-        return time.perf_counter() - t0
-
-    def passes_per_sample(one_pass) -> int:
-        warm_up = timed(one_pass, 1)
-        if warm_up <= 0:
-            return MAX_PASSES
-        return max(1, min(MAX_PASSES, math.ceil(1.5 * TIMING_FLOOR_S / warm_up)))
-
-    vector_passes = passes_per_sample(vector_pass)
-    graph_passes = passes_per_sample(graph_pass)
-    vector_samples, graph_samples = [], []
+    vector_times, graph_times = [], []
+    vector_pass()
+    graph_pass()
     for _ in range(max(5, runs)):
-        vector_samples.append(timed(vector_pass, vector_passes))
-        graph_samples.append(timed(graph_pass, graph_passes))
-    vector_sample = statistics.median(vector_samples)
-    graph_sample = statistics.median(graph_samples)
-    vector_median = vector_sample / vector_passes
-    graph_median = graph_sample / graph_passes
+        t0 = time.perf_counter()
+        vector_pass()
+        vector_times.append(time.perf_counter() - t0)
+        t0 = time.perf_counter()
+        graph_pass()
+        graph_times.append(time.perf_counter() - t0)
+    vector_median = statistics.median(vector_times)
+    graph_median = statistics.median(graph_times)
     ratio = graph_median / vector_median if vector_median > 0 else float("inf")
     return TimingResult(
         vector_median=vector_median,
         graph_median=graph_median,
         ratio=ratio,
-        below_floor=min(vector_sample, graph_sample) < TIMING_FLOOR_S,
+        below_floor=min(vector_median, graph_median) < 1e-3,
         runs=max(5, runs),
     )
 

@@ -232,42 +232,6 @@ class TestTiming:
         timing = timing_comparison(groups, graph, model, table)
         assert timing.below_floor  # nothing to assert about the ratio
 
-    @pytest.mark.parametrize("vector_ms, vector_passes, below", [
-        (0.2, 4, False),    # 0.4 ms a pass: four passes clear the floor
-        (0.01, 8, True),    # capped at eight passes, still under the floor
-    ])
-    def test_samples_hold_enough_passes(self, schema, monkeypatch,
-                                        vector_ms, vector_passes, below):
-        """On a fake clock: passes per sample, per-pass medians, the floor."""
-        from types import SimpleNamespace
-
-        import vkg.evaluation as evaluation
-
-        graph, model, table = tiny_pair_fixture(schema)
-        groups = [SimilarityGroup("pair", "vulnerability", ("va", "vb"))]
-        clock = [0.0]
-        calls = {"vector": 0, "graph": 0}
-
-        def fake_top_k(query, k):
-            calls["vector"] += 1
-            clock[0] += vector_ms * 1e-3
-
-        def fake_rank_graph(graph, query, k, universe=None):
-            calls["graph"] += 1
-            clock[0] += 1e-3    # 2 ms a pass: one pass a sample
-
-        monkeypatch.setattr(model, "top_k", fake_top_k)
-        monkeypatch.setattr(evaluation, "rank_graph", fake_rank_graph)
-        monkeypatch.setattr(evaluation, "time",
-                            SimpleNamespace(perf_counter=lambda: clock[0]))
-        timing = timing_comparison(groups, graph, model, table)
-        assert calls["vector"] == 2 * (1 + 5 * vector_passes)
-        assert calls["graph"] == 2 * (1 + 5)
-        assert timing.vector_median == pytest.approx(2 * vector_ms * 1e-3)
-        assert timing.graph_median == pytest.approx(2e-3)
-        assert timing.ratio == pytest.approx(1.0 / vector_ms)
-        assert timing.below_floor is below
-
 
 class TestGroupsFile:
     def test_load(self, bundled_workspace):
