@@ -48,8 +48,8 @@ print("    edges:", sorted(plan.edges))
 print("    parallel-eligible pairs:",
       [tuple(sorted(p)) for p in plan.parallel_pairs()])
 
-# The two independent subqueries may run concurrently; the result is
-# identical to sequential execution either way.
+# The two independent subqueries share the first wave; running the plan
+# wave by wave binds the same results as running it in statement order.
 bindings = execute(plan, graph, model, table, rules, parallel=True)
 print("\nbindings:")
 print(format_bindings(bindings), end="")

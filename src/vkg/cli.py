@@ -291,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--stmt", help="composite query string")
     group.add_argument("--repl", action="store_true", help="read queries from stdin")
     q.add_argument("--parallel", action="store_true",
-                   help="run independent subqueries concurrently")
+                   help="run the plan wave by wave, in dependency order")
 
     ev = sub.add_parser("eval", help="MAP comparison of graph/vector/vkg backends")
     ev.add_argument("--k", type=int, default=10)
@@ -333,7 +333,7 @@ def main(argv: list[str] | None = None) -> int:
         }
         manifest = load_manifest(args.manifest, overrides)
         return _COMMANDS[args.command](manifest, args)
-    except VkgError as exc:
+    except (VkgError, UnicodeDecodeError) as exc:   # an input file is not UTF-8
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # noqa: BLE001 - internal failure boundary

@@ -126,6 +126,8 @@ class Schema:
                          range_: str | None = None) -> None:
         if not name or _WHITESPACE.search(name):
             raise SchemaError(f"invalid relation id {name!r}")
+        if (domain is None) != (range_ is None):
+            raise SchemaError(f"relation '{name}' needs both a domain and a range, or neither")
         for c in (domain, range_):
             if c is not None and normalize(c) not in self.classes:
                 raise SchemaError(f"relation '{name}' references undeclared class '{c}'")
@@ -226,12 +228,8 @@ class Schema:
             return cls.parse(fh.read())
 
     def to_text(self) -> str:
-        """The :meth:`parse` format, every section present and sorted.
-
-        A relation declared with only one of domain and range is written
-        as a bare name: the format has no spelling for half a signature.
-        """
-        relations = [f"{name} {domain} {range_}" if domain and range_ else name
+        """The :meth:`parse` format, every section present and sorted."""
+        relations = [f"{name} {domain} {range_}" if domain else name
                      for name, (domain, range_) in sorted(self.relations.items())]
         sections = [
             ("classes", sorted(self.classes)),

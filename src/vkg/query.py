@@ -5,9 +5,8 @@ statements.  SEARCH is similarity search on the vector side, filtered by
 graph-asserted class membership (knowledge-graph-aided search); LIST and
 INFER run purely on the graph side.  ``decompose`` partitions a parsed
 query into a dependency DAG of vector-side and graph-side subqueries, and
-``execute`` resolves it, optionally running independent nodes concurrently.
-The sequential order is canonical: concurrent execution must produce
-identical bindings.
+``execute`` resolves it on the calling thread, in statement order or wave by
+wave; both orders produce identical bindings.
 
 Grammar (keywords case-insensitive, statements joined by ';'):
 
@@ -23,7 +22,6 @@ to that variable and unions the results.
 from __future__ import annotations
 
 import weakref
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Union
@@ -362,14 +360,6 @@ class Bindings:
         return {entity for entity, _ in self.values[var]}
 
 
-@dataclass(frozen=True)
-class _Update:
-    var: str
-    result: ResultSet
-    alert: Alert | None = None
-    derived: tuple[Triple, ...] | None = None
-
-
 def execute(plan: Plan, graph: Graph, model: EmbeddingModel | None,
             links: LinkTable | None, rules: RuleSet | None = None,
             parallel: bool = False,
@@ -378,59 +368,45 @@ def execute(plan: Plan, graph: Graph, model: EmbeddingModel | None,
 
     Graph-side nodes never touch the model or link table (their handlers
     are not even passed them), so a plan without SEARCH statements runs
-    with ``model=None``.  With ``parallel=True`` the plan runs wave by
-    wave (:attr:`Plan.waves`) on worker threads against the shared
-    read-only inputs; a wave's bindings are applied once the whole wave has
-    returned, so results equal sequential execution's.  A failure raises
-    the ``ExecutionError`` of the earliest failing wave's first failing
-    node (sequentially: of the first failing statement).  ``trace``
-    records which side each node dispatched to, in statement order.
+    with ``model=None``.  Nodes run one at a time on the calling thread,
+    in statement order or, with ``parallel=True``, wave by wave
+    (:attr:`Plan.waves`); a node reads only the variables of earlier
+    waves, so both orders bind the same results, and the bindings come back
+    in statement order either way.  A failure raises the
+    ``ExecutionError`` of the first failing node in the order run: the
+    first failing statement, or the earliest failing wave's first failing
+    node.  ``trace`` records which side each node dispatched to, in
+    statement order.
     """
     bindings = Bindings()
-    if parallel:
-        wave_bindings = Bindings()   # what the workers of later waves read
-
-        def run(index: int) -> _Update:
-            return _compute(plan.nodes[index], graph, model, links, rules, wave_bindings)
-
-        updates: dict[int, _Update] = {}
-        with ThreadPoolExecutor(max_workers=max(map(len, plan.waves), default=1)) as pool:
-            for wave in plan.waves:
-                updates.update(zip(wave, pool.map(run, wave)))
-                for index in wave:
-                    _apply(updates[index], wave_bindings)
-        for index in sorted(updates):
-            _apply(updates[index], bindings)
-    else:
-        for node in plan.nodes:
-            _apply(_compute(node, graph, model, links, rules, bindings), bindings)
+    order = [i for wave in plan.waves for i in wave] if parallel else range(len(plan.nodes))
+    for index in order:
+        _compute(plan.nodes[index], graph, model, links, rules, bindings)
+    if parallel:   # bound in wave order: restore statement order
+        out_vars = [node.statement.out_var for node in plan.nodes]
+        for table in (bindings.values, bindings.alerts, bindings.derived):
+            in_order = {var: table[var] for var in out_vars if var in table}
+            table.clear()
+            table.update(in_order)
     if trace is not None:
         trace.extend((node.index, node.side) for node in plan.nodes)
     return bindings
 
 
-def _apply(update: _Update, bindings: Bindings) -> None:
-    bindings.values[update.var] = update.result
-    if update.alert is not None:
-        bindings.alerts[update.var] = update.alert
-    if update.derived is not None:
-        bindings.derived[update.var] = update.derived
-
-
 def _compute(node: PlanNode, graph: Graph, model: EmbeddingModel | None,
              links: LinkTable | None, rules: RuleSet | None,
-             bindings: Bindings) -> _Update:
+             bindings: Bindings) -> None:
     stmt = node.statement
     try:
         if isinstance(stmt, SearchStmt):
             if model is None or links is None:
                 raise VkgError("SEARCH requires an embedding model and link table")
-            result = vkg_search(stmt.term, stmt.class_filter, stmt.k,
-                                graph, model, links)
-            return _Update(stmt.out_var, tuple(result))
-        if isinstance(stmt, ListStmt):
-            return _Update(stmt.out_var, _run_list(stmt, graph, bindings))
-        return _run_infer(stmt, graph, rules, bindings)
+            bindings.values[stmt.out_var] = tuple(vkg_search(
+                stmt.term, stmt.class_filter, stmt.k, graph, model, links))
+        elif isinstance(stmt, ListStmt):
+            bindings.values[stmt.out_var] = _run_list(stmt, graph, bindings)
+        else:
+            _run_infer(stmt, graph, rules, bindings)
     except VkgError as exc:
         raise ExecutionError(node.index, exc) from exc
 
@@ -448,13 +424,15 @@ def _run_list(stmt: ListStmt, graph: Graph, bindings: Bindings) -> ResultSet:
 
 
 def _run_infer(stmt: InferStmt, graph: Graph, rules: RuleSet | None,
-               bindings: Bindings) -> _Update:
+               bindings: Bindings) -> None:
     if rules is None:
         raise VkgError("INFER requires a rule set")
     rule = rules[stmt.rule_name]
     args = [bindings.entities(var) for var in stmt.in_vars]
     alert, derived = evaluate(rule, args, graph, context=stmt.context_entity)
-    return _Update(stmt.out_var, ((alert.token, None),), alert=alert, derived=derived)
+    bindings.values[stmt.out_var] = ((alert.token, None),)
+    bindings.alerts[stmt.out_var] = alert
+    bindings.derived[stmt.out_var] = derived
 
 
 def format_bindings(bindings: Bindings) -> str:

@@ -25,6 +25,30 @@ def workspace(tmp_path):
     return target
 
 
+# every input file, each with a stage that reads it
+NOT_UTF8_INPUTS = [
+    ("manifest.json", ["ingest"]),
+    ("schema.txt", ["ingest"]),
+    ("gazetteer.tsv", ["ingest"]),
+    ("templates.tsv", ["ingest"]),
+    ("stopwords.txt", ["ingest"]),
+    ("corpus.jsonl", ["ingest"]),
+    ("rules.txt", ["query", "--stmt", "LIST vulnerability OF 'mysql' AS K"]),
+    ("groups.json", ["eval"]),
+    ("out/graph.nt", ["query", "--stmt", "LIST vulnerability OF 'mysql' AS K"]),
+    ("out/model.vec", ["query", "--stmt", "LIST vulnerability OF 'mysql' AS K"]),
+    ("out/tokens.txt", ["train", "--epochs", "1"]),
+]
+
+
+@pytest.fixture()
+def built(tmp_path):
+    """Fresh copy of the bundled workspace with its committed artifacts."""
+    target = tmp_path / "ws"
+    shutil.copytree(FIXTURES, target)
+    return target
+
+
 def run(workspace: Path, *argv: str) -> int:
     return main(["--manifest", str(workspace / "manifest.json"), *argv])
 
@@ -166,6 +190,16 @@ class TestStaging:
         assert f"gazetteer.tsv:{second}: surface form 'foo'" in err
         assert f"gazetteer.tsv:{first} maps it to 'foo'" in err
 
+    @pytest.mark.parametrize("name, argv", NOT_UTF8_INPUTS,
+                             ids=[name for name, _ in NOT_UTF8_INPUTS])
+    def test_input_that_is_not_utf8_exits_1(self, built, capsys, name, argv):
+        with open(built / name, "ab") as fh:
+            fh.write(b"\xff\xfe")
+        assert run(built, *argv) == 1
+        err = capsys.readouterr().err
+        assert "error: 'utf-8' codec can't decode" in err
+        assert "internal error" not in err
+
 
 class TestPipeline:
     def test_full_pipeline_and_search(self, workspace, capsys):
@@ -196,6 +230,17 @@ class TestPipeline:
         assert code == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[-1] == "A = [alert_yes]"
+
+    def test_parallel_query_prints_the_sequential_output(self, built, capsys):
+        # waves ((0, 2), (1,)): the wave order differs from the statement order
+        stmt = ("SEARCH 'denial_of_service' CLASS vulnerability AS V; "
+                "INFER alert FROM V, V ON 'mysql' AS A; "
+                "LIST vulnerability OF 'mysql' AS K")
+        assert run(built, "query", "--stmt", stmt) == 0
+        sequential = capsys.readouterr().out
+        assert run(built, "query", "--parallel", "--stmt", stmt) == 0
+        assert capsys.readouterr().out == sequential
+        assert [line.split(" = ")[0] for line in sequential.splitlines()] == ["V", "A", "K"]
 
     def test_rerun_byte_identical(self, workspace):
         for stage in ("ingest", "train", "link"):

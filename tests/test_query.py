@@ -5,6 +5,8 @@ from __future__ import annotations
 import copy
 import gc
 import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -500,7 +502,6 @@ class TestExecute:
 
     def test_sequential_run_builds_no_pool_and_no_waves(self, schema, monkeypatch):
         graph, model, table = alert_fixture(schema)
-        monkeypatch.setattr("vkg.query.ThreadPoolExecutor", None)
         plan = decompose(parse(QUERY_1))
         execute(plan, graph, model, table, builtin_rules())
         assert "waves" not in vars(plan) and "ancestors" not in vars(plan)
@@ -533,6 +534,43 @@ class TestParallelExecution:
             assert sequential.values == concurrent.values
             assert sequential.alerts == concurrent.alerts
             assert sequential.derived == concurrent.derived
+            assert format_bindings(sequential) == format_bindings(concurrent)
+            for name in ("values", "alerts", "derived"):
+                assert list(getattr(sequential, name)) == list(getattr(concurrent, name))
+
+    def test_wave_order_run_starts_no_thread_and_binds_in_statement_order(
+            self, schema, monkeypatch):
+        def refuse(thread):
+            raise AssertionError(f"execute started thread {thread.name}")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        graph, model, table = alert_fixture(schema)
+        rules = builtin_rules()
+        plan = decompose(parse("LIST vulnerability OF 'mysql' AS K; "
+                               "INFER alert FROM K, K ON 'mysql' AS A; "
+                               "SEARCH 'mysql' TOPK 2 AS V", rules=rules))
+        assert plan.waves == ((0, 2), (1,))
+        bindings = execute(plan, graph, model, table, rules, parallel=True)
+        assert list(bindings.values) == ["K", "A", "V"]
+        assert bindings == execute(plan, graph, model, table, rules)
+
+    def test_reader_threads_share_a_cold_class_cache(self, schema):
+        # many readers on one graph: each builds or reuses whole cache entries
+        plan = decompose(parse("SEARCH 'mysql' CLASS vulnerability TOPK 3 AS A; "
+                               "SEARCH 'buffer_overflow' CLASS product TOPK 3 AS B"))
+        expected = execute(plan, *alert_fixture(schema)).values
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(10):
+                graph, model, table = alert_fixture(schema)   # no cached rows yet
+                with ThreadPoolExecutor(max_workers=4) as pool:
+                    runs = list(pool.map(lambda _: execute(plan, graph, model, table).values,
+                                         range(8)))
+                assert all(values == expected for values in runs)
+                assert sorted(query._CLASS_ROWS[graph]) == ["product", "vulnerability"]
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_parallel_reads_leave_a_merged_graph_unchanged(self):
         graph, model, table = same_as_fixture(aa=0.995, bb=0.981, cc=0.9, dd=0.8,

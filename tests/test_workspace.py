@@ -16,6 +16,7 @@ import pytest
 from vkg import _atomic, datasets
 from vkg.cli import load_manifest
 from vkg.datasets import MIXED_TRAINING, write_workspace
+from vkg.errors import SchemaError
 from vkg.evaluation import load_groups
 from vkg.ingest import (
     Gazetteer,
@@ -84,6 +85,20 @@ def test_schema_text_round_trips(schema):
     text = schema.to_text()
     assert schema_parts(Schema.parse(text)) == schema_parts(schema)
     assert Schema.parse(text).to_text() == text
+
+
+def test_a_relation_takes_both_classes_or_neither():
+    schema = Schema()
+    schema.declare_class("a")
+    schema.declare_class("b")
+    for i, (domain, range_) in enumerate([(None, None), ("a", None), (None, "b"), ("a", "b")]):
+        if (domain is None) != (range_ is None):
+            with pytest.raises(SchemaError, match="both a domain and a range, or neither"):
+                schema.declare_relation(f"r{i}", domain, range_)
+        else:
+            schema.declare_relation(f"r{i}", domain, range_)
+    assert schema.relations == {"r0": (None, None), "r3": ("a", "b")}
+    assert schema_parts(Schema.parse(schema.to_text())) == schema_parts(schema)
 
 
 @contextmanager
